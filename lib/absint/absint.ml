@@ -2,6 +2,7 @@ module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
 
 (* Largest unsigned value of a width. Width 62 is Bitvec.max_width and
    its payload mask is exactly [max_int] (OCaml ints are 63-bit). *)
@@ -116,41 +117,6 @@ module Dom = struct
   let truth d =
     if d.hi = 0 then No else if d.lo > 0 || d.kval <> 0 then Yes else Maybe
 
-  (* Concrete semantics of the binary kinds — the same dispatch the
-     cycle simulator uses, so constant folding agrees with execution by
-     construction (including the division-by-zero convention). *)
-  let concrete_binary = function
-    | "add" -> Bitvec.add
-    | "sub" -> Bitvec.sub
-    | "mul" -> Bitvec.mul
-    | "divu" -> Bitvec.udiv
-    | "divs" -> Bitvec.sdiv
-    | "remu" -> Bitvec.urem
-    | "rems" -> Bitvec.srem
-    | "and" -> Bitvec.logand
-    | "or" -> Bitvec.logor
-    | "xor" -> Bitvec.logxor
-    | "shl" -> fun a b -> Bitvec.shift_left a (Bitvec.to_int b)
-    | "shrl" -> fun a b -> Bitvec.shift_right_logical a (Bitvec.to_int b)
-    | "shra" -> fun a b -> Bitvec.shift_right_arith a (Bitvec.to_int b)
-    | "eq" -> Bitvec.eq
-    | "ne" -> Bitvec.ne
-    | "ltu" -> Bitvec.ult
-    | "leu" -> Bitvec.ule
-    | "gtu" -> Bitvec.ugt
-    | "geu" -> Bitvec.uge
-    | "lts" -> Bitvec.slt
-    | "les" -> Bitvec.sle
-    | "gts" -> Bitvec.sgt
-    | "ges" -> Bitvec.sge
-    | "minu" -> fun a b -> if Bitvec.to_int a <= Bitvec.to_int b then a else b
-    | "maxu" -> fun a b -> if Bitvec.to_int a >= Bitvec.to_int b then a else b
-    | "mins" ->
-        fun a b -> if Bitvec.to_signed a <= Bitvec.to_signed b then a else b
-    | "maxs" ->
-        fun a b -> if Bitvec.to_signed a >= Bitvec.to_signed b then a else b
-    | kind -> Opspec.failf "absint: no binary function for %S" kind
-
   let of_bool3 = function
     | Some true -> const ~width:1 1
     | Some false -> const ~width:1 0
@@ -179,7 +145,18 @@ module Dom = struct
     | None ->
         norm { width = w; lo = 0; hi = a.hi; kmask = 0; kval = 0; taint = [] }
 
-  let binary kind a b =
+  (* Both operands constant: fold through the catalogue's reference
+     semantics, so constant folding agrees with execution by
+     construction (including the division-by-zero convention). *)
+  let fold f a b =
+    match (is_const a, is_const b) with
+    | Some x, Some y ->
+        let w = a.width in
+        let r = f (Bitvec.create ~width:w x) (Bitvec.create ~width:w y) in
+        Some (const ~width:(Bitvec.width r) (Bitvec.to_int r))
+    | _ -> None
+
+  let binary (op : Opkind.binop) a b =
     let taint = union_taint a.taint b.taint in
     let w = a.width in
     let m = umax w in
@@ -188,46 +165,41 @@ module Dom = struct
       norm { width = w; lo; hi; kmask; kval; taint = [] }
     in
     let r =
-      match (is_const a, is_const b) with
-      | Some x, Some y ->
-          let r =
-            (concrete_binary kind) (Bitvec.create ~width:w x)
-              (Bitvec.create ~width:w y)
-          in
-          const ~width:(Bitvec.width r) (Bitvec.to_int r)
-      | _ -> (
-          match kind with
-          | "add" ->
+      match fold (Opkind.bin_bitvec op) a b with
+      | Some r -> r
+      | None -> (
+          match op with
+          | Add ->
               if b.hi <= m - a.hi then iv (a.lo + b.lo) (a.hi + b.hi)
               else top ~width:w
-          | "sub" ->
+          | Sub ->
               if a.lo >= b.hi then iv (a.lo - b.hi) (a.hi - b.lo)
               else top ~width:w
-          | "mul" ->
+          | Mul ->
               if a.hi = 0 || b.hi = 0 then const ~width:w 0
               else if a.hi <= m / b.hi then iv (a.lo * b.lo) (a.hi * b.hi)
               else top ~width:w
-          | "divu" ->
+          | Divu ->
               if b.lo >= 1 then iv (a.lo / b.hi) (a.hi / b.lo)
               else top ~width:w (* divisor may be 0: result may be all-ones *)
-          | "remu" ->
+          | Remu ->
               if b.hi = 0 then { a with taint = [] } (* x mod 0 = x *)
               else if b.lo >= 1 then iv 0 (min a.hi (b.hi - 1))
               else iv 0 (max a.hi (b.hi - 1))
-          | "divs" | "rems" -> top ~width:w
-          | "and" ->
+          | Divs | Rems -> top ~width:w
+          | And ->
               let z = k0 a lor k0 b and o = k1 a land k1 b in
               kb 0 (min a.hi b.hi) (z lor o) o
-          | "or" ->
+          | Or ->
               let z = k0 a land k0 b and o = k1 a lor k1 b in
               kb (max a.lo b.lo) (umax (bits_needed (a.hi lor b.hi))) (z lor o) o
-          | "xor" ->
+          | Xor ->
               let kmask = a.kmask land b.kmask in
               kb 0
                 (umax (bits_needed (a.hi lor b.hi)))
                 kmask
                 ((a.kval lxor b.kval) land kmask)
-          | "shl" -> (
+          | Shl -> (
               match is_const b with
               | Some c when c = 0 -> { a with taint = [] }
               | Some c when c >= w -> const ~width:w 0
@@ -240,8 +212,8 @@ module Dom = struct
                   in
                   kb lo hi kmask kval
               | None -> if b.hi = 0 then { a with taint = [] } else top ~width:w)
-          | "shrl" -> shrl_nonneg a b w m
-          | "shra" ->
+          | Shrl -> shrl_nonneg a b w m
+          | Shra ->
               let half = if w = 1 then 1 else 1 lsl (w - 1) in
               if a.hi < half then
                 (* sign bit known 0: arithmetic = logical *)
@@ -254,68 +226,55 @@ module Dom = struct
                     let hm = m land lnot (m lsr c) in
                     iv ((a.lo lsr c) lor hm) ((a.hi lsr c) lor hm)
                 | _ -> top ~width:w)
-          | "eq" | "ne" ->
-              let conflict = a.kmask land b.kmask land (a.kval lxor b.kval) in
-              let eq3 =
-                if a.hi < b.lo || b.hi < a.lo || conflict <> 0 then Some false
-                else None (* both-const handled above *)
-              in
-              of_bool3 (if kind = "eq" then eq3 else Option.map not eq3)
-          | "ltu" ->
-              of_bool3
-                (if a.hi < b.lo then Some true
-                 else if a.lo >= b.hi then Some false
-                 else None)
-          | "leu" ->
-              of_bool3
-                (if a.hi <= b.lo then Some true
-                 else if a.lo > b.hi then Some false
-                 else None)
-          | "gtu" ->
-              of_bool3
-                (if a.lo > b.hi then Some true
-                 else if a.hi <= b.lo then Some false
-                 else None)
-          | "geu" ->
-              of_bool3
-                (if a.lo >= b.hi then Some true
-                 else if a.hi < b.lo then Some false
-                 else None)
-          | "lts" | "les" | "gts" | "ges" ->
-              (* Signed comparisons sharpen when both operands' sign bits
-                 are statically known: within one sign class the two's-
-                 complement order coincides with the unsigned order, and
-                 across classes the negative operand is the smaller one. *)
-              let half = if w = 1 then 1 else 1 lsl (w - 1) in
-              let nonneg d = d.hi < half and neg d = d.lo >= half in
-              let lt3 =
-                (* three-valued a < b (signed), when decidable *)
-                if (nonneg a && nonneg b) || (neg a && neg b) then
-                  if a.hi < b.lo then Some true
-                  else if a.lo >= b.hi then Some false
-                  else None
-                else if neg a && nonneg b then Some true
-                else if nonneg a && neg b then Some false
-                else None
-              and le3 =
-                if (nonneg a && nonneg b) || (neg a && neg b) then
-                  if a.hi <= b.lo then Some true
-                  else if a.lo > b.hi then Some false
-                  else None
-                else if neg a && nonneg b then Some true
-                else if nonneg a && neg b then Some false
-                else None
-              in
-              of_bool3
-                (match kind with
-                | "lts" -> lt3
-                | "les" -> le3
-                | "gts" -> Option.map not le3
-                | _ -> Option.map not lt3)
-          | "minu" -> iv (min a.lo b.lo) (min a.hi b.hi)
-          | "maxu" -> iv (max a.lo b.lo) (max a.hi b.hi)
-          | "mins" | "maxs" -> join a b (* the result is one of the two *)
-          | kind -> Opspec.failf "absint: no binary transfer for %S" kind)
+          | Minu -> iv (min a.lo b.lo) (min a.hi b.hi)
+          | Maxu -> iv (max a.lo b.lo) (max a.hi b.hi)
+          | Mins | Maxs -> join a b (* the result is one of the two *))
+    in
+    { r with taint }
+
+  (* Three-valued unsigned [a < b] and [a <= b]; [>]/[>=] swap sides. *)
+  let ult3 a b =
+    if a.hi < b.lo then Some true else if a.lo >= b.hi then Some false else None
+
+  let ule3 a b =
+    if a.hi <= b.lo then Some true else if a.lo > b.hi then Some false else None
+
+  let cmp (op : Opkind.cmpop) a b =
+    let taint = union_taint a.taint b.taint in
+    let w = a.width in
+    (* Signed comparisons sharpen when both operands' sign bits are
+       statically known: within one sign class the two's-complement
+       order coincides with the unsigned order, and across classes the
+       negative operand is the smaller one. *)
+    let signed rel a b =
+      let half = if w = 1 then 1 else 1 lsl (w - 1) in
+      let nonneg d = d.hi < half and neg d = d.lo >= half in
+      if (nonneg a && nonneg b) || (neg a && neg b) then rel a b
+      else if neg a && nonneg b then Some true
+      else if nonneg a && neg b then Some false
+      else None
+    in
+    let r =
+      match fold (Opkind.cmp_bitvec op) a b with
+      | Some r -> r
+      | None ->
+          of_bool3
+            (match op with
+            | Eq | Ne ->
+                let conflict = a.kmask land b.kmask land (a.kval lxor b.kval) in
+                let eq3 =
+                  if a.hi < b.lo || b.hi < a.lo || conflict <> 0 then Some false
+                  else None (* both-const handled above *)
+                in
+                if op = Eq then eq3 else Option.map not eq3
+            | Ltu -> ult3 a b
+            | Leu -> ule3 a b
+            | Gtu -> ult3 b a
+            | Geu -> ule3 b a
+            | Lts -> signed ult3 a b
+            | Les -> signed ule3 a b
+            | Gts -> signed ult3 b a
+            | Ges -> signed ule3 b a)
     in
     { r with taint }
 
@@ -384,14 +343,12 @@ module Dom = struct
             taint = a.taint;
           }
 
-  let unary kind ~width a =
+  let unary (op : Opkind.unop) a =
     let taint = a.taint in
     let r =
-      match kind with
-      | "pass" -> { a with taint = [] }
-      | "zext" -> { (resize_u a width) with taint = [] }
-      | "sext" -> { (resize_s a width) with taint = [] }
-      | "not" ->
+      match op with
+      | Pass -> { a with taint = [] }
+      | Not ->
           let m = umax a.width in
           norm
             {
@@ -402,11 +359,12 @@ module Dom = struct
               kval = lnot a.kval land a.kmask;
               taint = [];
             }
-      | "neg" -> (
+      | Neg -> (
           match is_const a with
           | Some v ->
               const ~width:a.width
-                (Bitvec.to_int (Bitvec.neg (Bitvec.create ~width:a.width v)))
+                (Bitvec.to_int
+                   (Opkind.un_bitvec Neg (Bitvec.create ~width:a.width v)))
           | None ->
               let m = umax a.width in
               if a.lo >= 1 then
@@ -420,10 +378,9 @@ module Dom = struct
                     taint = [];
                   }
               else top ~width:a.width)
-      | "abs" ->
+      | Abs ->
           let half = if a.width = 1 then 1 else 1 lsl (a.width - 1) in
           if a.hi < half then { a with taint = [] } else top ~width:a.width
-      | kind -> Opspec.failf "absint: no unary transfer for %S" kind
     in
     { r with taint }
 end
@@ -508,14 +465,6 @@ type prep = {
          caller declared via [analyze ?memories]. *)
 }
 
-(* The evaluation notion of "combinational" is the cycle simulator's:
-   the sram read path settles within the cycle; regs, counters and the
-   test aids do not produce combinational values. *)
-let eval_comb (op : Dp.operator) =
-  match op.Dp.kind with
-  | "reg" | "counter" | "check" | "stop" | "probe" -> false
-  | _ -> true
-
 let build_prep ?(memories = []) dp fsm =
   let spec = Hashtbl.create 32 in
   List.iter
@@ -534,7 +483,13 @@ let build_prep ?(memories = []) dp fsm =
         (fun ep -> Hashtbl.replace driver (Dp.endpoint_to_string ep) src)
         n.Dp.sinks)
     dp.Dp.nets;
-  let eval_ops = List.filter eval_comb dp.Dp.operators in
+  (* The evaluation notion of "combinational" is the cycle simulator's. *)
+  let eval_ops =
+    List.filter
+      (fun (op : Dp.operator) ->
+        Opkind.is_comb (Hashtbl.find spec op.Dp.id).Opspec.kind)
+      dp.Dp.operators
+  in
   let eval_ids = Hashtbl.create 32 in
   List.iter
     (fun (op : Dp.operator) -> Hashtbl.replace eval_ids op.Dp.id ())
@@ -592,6 +547,8 @@ let build_prep ?(memories = []) dp fsm =
     mem_ports;
   { p_dp = dp; p_fsm = fsm; spec; driver; eval_ops; eval_ids; seq_ops;
     mem_contents }
+
+let kind_of prep (op : Dp.operator) = (Hashtbl.find prep.spec op.Dp.id).Opspec.kind
 
 let out_port (op : Dp.operator) =
   match op.Dp.kind with "sram" | "rom" -> "dout" | _ -> "y"
@@ -738,13 +695,14 @@ let settle prep cells =
         let out = op.Dp.id ^ "." ^ out_port op in
         let width = op.Dp.width in
         let v =
-          match op.Dp.kind with
-          | "const" ->
+          match kind_of prep op with
+          | Const ->
               Dom.const ~width
                 (Opspec.require_int op.Dp.params ~kind:"const" "value")
-          | "zext" | "sext" | "not" | "neg" | "pass" | "abs" ->
-              Dom.unary op.Dp.kind ~width (input_dom prep cells op "a")
-          | "mux" -> (
+          | Zext -> Dom.resize_u (input_dom prep cells op "a") width
+          | Sext -> Dom.resize_s (input_dom prep cells op "a") width
+          | Un u -> Dom.unary u (input_dom prep cells op "a")
+          | Mux -> (
               let n = mux_inputs op in
               match Hashtbl.find_opt resolved op.Dp.id with
               | Some i -> input_dom prep cells op (Printf.sprintf "in%d" i)
@@ -767,7 +725,7 @@ let settle prep cells =
                   Dom.with_taint
                     (Dom.union_taint v.Dom.taint sel.Dom.taint)
                     v)
-          | "sram" | "rom" -> (
+          | Sram | Rom -> (
               (* Reads from a memory proved read-only (with declared
                  initial contents) join the cells the abstract address
                  can reach; out-of-range addresses read as 0, matching
@@ -796,10 +754,13 @@ let settle prep cells =
                     | None -> Dom.top ~width:w
                     | Some v -> Dom.with_taint addr.Dom.taint v
                   end)
-          | kind ->
-              Dom.binary kind
+          | Bin b ->
+              Dom.binary b
                 (input_dom prep cells op "a")
                 (input_dom prep cells op "b")
+          | Cmp c ->
+              Dom.cmp c (input_dom prep cells op "a") (input_dom prep cells op "b")
+          | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
         in
         Hashtbl.replace cells out v)
       order;
@@ -887,7 +848,7 @@ let next_store prep cells store =
           and d = input_dom prep cells op "d" in
           let step = Opspec.param_int op.Dp.params "step" ~default:1 in
           let stepped =
-            Dom.binary "add" q (Dom.const ~width:op.Dp.width step)
+            Dom.binary Add q (Dom.const ~width:op.Dp.width step)
           in
           let q1 =
             match Dom.truth en with
@@ -982,24 +943,21 @@ let rec refine_endpoint prep cells resolved depth src (lo, hi) acc =
             | Some src' -> Hashtbl.find_opt cells src'
           in
           let m w = umax w in
-          match op.Dp.kind with
-          | "reg" | "counter" when ep.Dp.port = "q" ->
-              (op.Dp.id, lo, hi) :: acc
-          | "pass" -> follow "a" (lo, hi) acc
-          | "mux" -> (
+          match kind_of prep op with
+          | (Reg | Counter) when ep.Dp.port = "q" -> (op.Dp.id, lo, hi) :: acc
+          | Un Pass -> follow "a" (lo, hi) acc
+          | Mux -> (
               match Hashtbl.find_opt resolved op.Dp.id with
               | Some i -> follow (Printf.sprintf "in%d" i) (lo, hi) acc
               | None -> acc)
-          | "and" when op.Dp.width = 1 && lo >= 1 ->
+          | Bin And when op.Dp.width = 1 && lo >= 1 ->
               follow "a" (1, 1) (follow "b" (1, 1) acc)
-          | "or" when op.Dp.width = 1 && hi = 0 ->
+          | Bin Or when op.Dp.width = 1 && hi = 0 ->
               follow "a" (0, 0) (follow "b" (0, 0) acc)
-          | "not" when op.Dp.width = 1 && (hi = 0 || lo >= 1) ->
+          | Un Not when op.Dp.width = 1 && (hi = 0 || lo >= 1) ->
               follow "a" ((if hi = 0 then 1 else 0), if hi = 0 then 1 else 0)
                 acc
-          | ("eq" | "ne" | "ltu" | "leu" | "gtu" | "geu" | "lts" | "les"
-            | "gts" | "ges") as kind
-            when lo >= 1 || hi = 0 -> (
+          | Cmp c when lo >= 1 || hi = 0 -> (
               let truth = lo >= 1 in
               match (input "a", input "b") with
               | Some da, Some db ->
@@ -1009,7 +967,7 @@ let rec refine_endpoint prep cells resolved depth src (lo, hi) acc =
                      are provably non-negative, where the orders agree. *)
                   let half = if w = 1 then 1 else 1 lsl (w - 1) in
                   let signed =
-                    List.mem kind [ "lts"; "les"; "gts"; "ges" ]
+                    match c with Lts | Les | Gts | Ges -> true | _ -> false
                   in
                   if
                     signed
@@ -1017,17 +975,12 @@ let rec refine_endpoint prep cells resolved depth src (lo, hi) acc =
                   then acc
                   else
                     let rel =
-                      match (kind, truth) with
-                      | ("eq" | "ne"), _ -> `Eq (truth = (kind = "eq"))
-                      | (("ltu" | "lts"), true) | (("geu" | "ges"), false) ->
-                          `Lt
-                      | (("leu" | "les"), true) | (("gtu" | "gts"), false) ->
-                          `Le
-                      | (("gtu" | "gts"), true) | (("leu" | "les"), false) ->
-                          `Gt
-                      | (("geu" | "ges"), true) | (("ltu" | "lts"), false) ->
-                          `Ge
-                      | _ -> `Eq true (* unreachable *)
+                      match (c, truth) with
+                      | (Eq | Ne), _ -> `Eq (truth = (c = Eq))
+                      | ((Ltu | Lts), true) | ((Geu | Ges), false) -> `Lt
+                      | ((Leu | Les), true) | ((Gtu | Gts), false) -> `Le
+                      | ((Gtu | Gts), true) | ((Leu | Les), false) -> `Gt
+                      | ((Geu | Ges), true) | ((Ltu | Lts), false) -> `Ge
                     in
                     (* Allowed interval for one operand given the settled
                        interval of the other, under [a R b]. *)
@@ -1727,7 +1680,7 @@ let widening_thresholds dp =
   List.sort_uniq compare (base @ products)
 
 let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   (try Dp.validate dp
    with Dp.Invalid msgs ->
      failwith ("absint: invalid datapath: " ^ String.concat "; " msgs));
@@ -1935,7 +1888,7 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
     findings;
     reachable;
     iterations = !iterations;
-    seconds = Sys.time () -. t0;
+    seconds = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9;
   }
 
 let diagnostics t = t.diags

@@ -96,15 +96,16 @@ module Dom : sig
   val truth : t -> tri
   (** Is the value nonzero? *)
 
-  val binary : string -> t -> t -> t
-  (** Transfer function of a binary ALU / comparison kind (the
-      {!Operators.Opspec.binary_alu_kinds} and [comparison_kinds]).
-      Constant operands evaluate exactly through {!Bitvec}, so the
+  val binary : Operators.Opkind.binop -> t -> t -> t
+  (** Transfer function of a binary ALU kind. Constant operands
+      evaluate exactly through {!Operators.Opkind.bin_bitvec}, so the
       abstract semantics agree with both simulators by construction. *)
 
-  val unary : string -> width:int -> t -> t
-  (** [not]/[neg]/[pass]/[abs] and the resizes ([zext]/[sext] given the
-      output [width]). *)
+  val cmp : Operators.Opkind.cmpop -> t -> t -> t
+  (** Transfer function of a comparison (a 1-bit result); constants
+      fold through {!Operators.Opkind.cmp_bitvec}. *)
+
+  val unary : Operators.Opkind.unop -> t -> t
 end
 
 type verdict =
@@ -180,4 +181,4 @@ val iterations : t -> int
 (** State visits until the fixpoint stabilized (termination metric). *)
 
 val wall_seconds : t -> float
-(** Analysis time ({!Sys.time}, as the simulators report it). *)
+(** Elapsed wall time of the analysis, on the monotonic clock. *)

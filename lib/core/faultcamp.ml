@@ -514,6 +514,8 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
   if max_retries < 0 then invalid_arg "Faultcamp.run: max_retries must be >= 0";
   if backoff_seconds < 0. then
     invalid_arg "Faultcamp.run: backoff_seconds must be >= 0";
+  if deadline_seconds < 0. then
+    invalid_arg "Faultcamp.run: deadline_seconds must be >= 0";
   List.iter
     (fun (cls, sec) ->
       if not (List.mem cls Fault.all_classes) then

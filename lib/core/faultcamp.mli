@@ -213,8 +213,9 @@ val run :
     re-resolves it, so [Auto] journals stay portable across hosts.
 
     Resilience controls:
-    - [deadline_seconds] (default {!default_deadline_seconds}; [<= 0.]
-      disables) arms a per-attempt wall-clock watchdog; a hung mutant is
+    - [deadline_seconds] (default {!default_deadline_seconds}; [0.]
+      disables, negative raises [Invalid_argument]) arms a per-attempt
+      wall-clock watchdog; a hung mutant is
       classified {!Timeout_wall} within one watchdog slice of the
       deadline and the campaign moves on.
     - [slice_cycles] sets the watchdog granularity (cycles simulated

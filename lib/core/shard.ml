@@ -70,6 +70,8 @@ let validate cfg =
     invalid_arg "Shard: watchdog_seconds must be > 0";
   if cfg.respawn_backoff_seconds < 0. then
     invalid_arg "Shard: respawn_backoff_seconds must be >= 0";
+  if cfg.deadline_seconds < 0. then
+    invalid_arg "Shard: deadline_seconds must be >= 0";
   if cfg.worker_exe = "" then invalid_arg "Shard: worker_exe must be set"
 
 let journal_path cfg i =

@@ -2,6 +2,7 @@ module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
 module Memory = Operators.Memory
 
 exception Combinational_cycle of string
@@ -19,36 +20,6 @@ type t = {
   mutable n_check_failures : int;
   mutable stop_fired : bool;
 }
-
-let binary_fn = function
-  | "add" -> Bitvec.add
-  | "sub" -> Bitvec.sub
-  | "mul" -> Bitvec.mul
-  | "divu" -> Bitvec.udiv
-  | "divs" -> Bitvec.sdiv
-  | "remu" -> Bitvec.urem
-  | "rems" -> Bitvec.srem
-  | "and" -> Bitvec.logand
-  | "or" -> Bitvec.logor
-  | "xor" -> Bitvec.logxor
-  | "shl" -> fun a b -> Bitvec.shift_left a (Bitvec.to_int b)
-  | "shrl" -> fun a b -> Bitvec.shift_right_logical a (Bitvec.to_int b)
-  | "shra" -> fun a b -> Bitvec.shift_right_arith a (Bitvec.to_int b)
-  | "eq" -> Bitvec.eq
-  | "ne" -> Bitvec.ne
-  | "ltu" -> Bitvec.ult
-  | "leu" -> Bitvec.ule
-  | "gtu" -> Bitvec.ugt
-  | "geu" -> Bitvec.uge
-  | "lts" -> Bitvec.slt
-  | "les" -> Bitvec.sle
-  | "gts" -> Bitvec.sgt
-  | "ges" -> Bitvec.sge
-  | "minu" -> fun a b -> if Bitvec.to_int a <= Bitvec.to_int b then a else b
-  | "maxu" -> fun a b -> if Bitvec.to_int a >= Bitvec.to_int b then a else b
-  | "mins" -> fun a b -> if Bitvec.to_signed a <= Bitvec.to_signed b then a else b
-  | "maxs" -> fun a b -> if Bitvec.to_signed a >= Bitvec.to_signed b then a else b
-  | kind -> Opspec.failf "cyclesim: no binary function for %S" kind
 
 let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
   Dp.validate dp;
@@ -107,14 +78,10 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
   (* Classify operators. Combinational units are topologically sorted by
      "produces a value consumed by"; sequential outputs (reg/counter q)
      break the dependency chains. The sram read path is combinational. *)
-  let is_comb (op : Dp.operator) =
-    match op.Dp.kind with
-    | "reg" | "counter" | "check" | "stop" | "probe" -> false
-    | _ -> true
-  in
-  let comb_ops = List.filter is_comb dp.Dp.operators in
-  let comb_ids = List.map (fun (op : Dp.operator) -> op.Dp.id) comb_ops in
   let spec_of (op : Dp.operator) = Dp.operator_spec op in
+  let kind_of op = (spec_of op).Opspec.kind in
+  let comb_ops = List.filter (fun op -> Opkind.is_comb (kind_of op)) dp.Dp.operators in
+  let comb_ids = List.map (fun (op : Dp.operator) -> op.Dp.id) comb_ops in
   let comb_deps (op : Dp.operator) =
     (* Combinational predecessors among comb instances. Sequential q
        outputs and sram dout are state-like... no: sram dout is produced
@@ -182,55 +149,45 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
     let op = op_by_id id in
     let out port = Hashtbl.find cells (op.Dp.id ^ "." ^ port) in
     let width = op.Dp.width in
-    match op.Dp.kind with
-    | "const" ->
+    let unary f =
+      let a = input_cell op "a" and y = out "y" in
+      fun () -> y := f !a
+    in
+    let binary f =
+      let a = input_cell op "a" and b = input_cell op "b" and y = out "y" in
+      fun () -> y := f !a !b
+    in
+    match kind_of op with
+    | Const ->
         let v =
           Bitvec.create ~width (Opspec.require_int op.Dp.params ~kind:"const" "value")
         in
         let y = out "y" in
         fun () -> y := v
-    | "zext" ->
-        let a = input_cell op "a" and y = out "y" in
-        fun () -> y := Bitvec.resize !a width
-    | "sext" ->
-        let a = input_cell op "a" and y = out "y" in
-        fun () -> y := Bitvec.sresize !a width
-    | "not" ->
-        let a = input_cell op "a" and y = out "y" in
-        fun () -> y := Bitvec.lognot !a
-    | "neg" ->
-        let a = input_cell op "a" and y = out "y" in
-        fun () -> y := Bitvec.neg !a
-    | "pass" ->
-        let a = input_cell op "a" and y = out "y" in
-        fun () -> y := !a
-    | "abs" ->
-        let a = input_cell op "a" and y = out "y" in
-        fun () -> y := (if Bitvec.msb !a then Bitvec.neg !a else !a)
-    | "mux" ->
+    | Zext -> unary (fun a -> Bitvec.resize a width)
+    | Sext -> unary (fun a -> Bitvec.sresize a width)
+    | Un u -> unary (Opkind.un_bitvec u)
+    | Bin b -> binary (Opkind.bin_bitvec b)
+    | Cmp c -> binary (Opkind.cmp_bitvec c)
+    | Mux ->
         let n = Opspec.param_int op.Dp.params "inputs" ~default:2 in
         let ins = Array.init n (fun i -> input_cell op (Printf.sprintf "in%d" i)) in
         let sel = input_cell op "sel" and y = out "y" in
         fun () -> y := !(ins.(min (Bitvec.to_int !sel) (n - 1)))
-    | "sram" | "rom" ->
+    | Sram | Rom ->
         let memory =
           memories (Opspec.require_string op.Dp.params ~kind:op.Dp.kind "memory")
         in
         let addr = input_cell op "addr" and dout = out "dout" in
         fun () -> dout := Memory.read memory (Bitvec.to_int !addr)
-    | kind ->
-        let f = binary_fn kind in
-        let a = input_cell op "a" and b = input_cell op "b" and y = out "y" in
-        fun () -> y := f !a !b
+    | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
   in
   (* Fault injection: corrupt a unit's output cell right after it
      evaluates, so downstream units (later in topo order) consume the
      corrupted value — the same commit-point the event kernel corrupts. *)
   let wrap_output id base =
     let op = op_by_id id in
-    let out_port =
-      match op.Dp.kind with "sram" | "rom" -> "dout" | _ -> "y"
-    in
+    let out_port = match kind_of op with Sram | Rom -> "dout" | _ -> "y" in
     let key = op.Dp.id ^ "." ^ out_port in
     match corrupt key with
     | None -> base
@@ -254,8 +211,8 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
         | None -> fun () -> q := !pending
         | Some f -> fun () -> q := f !pending
       in
-      match op.Dp.kind with
-      | "reg" ->
+      match kind_of op with
+      | Reg ->
           let d = input_cell op "d" and en = input_cell op "en" in
           let q = out "q" in
           q := Bitvec.create ~width:op.Dp.width
@@ -266,7 +223,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
             (fun () -> pending := (if Bitvec.to_bool !en then !d else !q))
             :: !latches;
           commits := commit_q q pending :: !commits
-      | "counter" ->
+      | Counter ->
           let en = input_cell op "en"
           and load = input_cell op "load"
           and d = input_cell op "d" in
@@ -285,7 +242,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
                  else !q))
             :: !latches;
           commits := commit_q q pending :: !commits
-      | "sram" ->
+      | Sram ->
           let memory =
             memories (Opspec.require_string op.Dp.params ~kind:"sram" "memory")
           in
@@ -300,7 +257,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
               if Bitvec.to_bool !we then
                 Memory.write memory (Bitvec.to_int !addr) !din)
             :: !commits
-      | "check" ->
+      | Check ->
           let a = input_cell op "a" and en = input_cell op "en" in
           let expect =
             Bitvec.create ~width:op.Dp.width
@@ -313,7 +270,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
                 | Some t -> t.n_check_failures <- t.n_check_failures + 1
                 | None -> ())
             :: !latches
-      | "stop" ->
+      | Stop ->
           let en = input_cell op "en" in
           latches :=
             (fun () ->

@@ -138,44 +138,54 @@ let mk width node =
 let equal a b = a.id = b.id
 
 (* ------------------------------------------------------------------ *)
-(* Concrete semantics (mirrors the simulators' operator models)         *)
+(* Concrete semantics: the operator catalogue's reference path        *)
 
-let bv_min_u a b = if Bitvec.to_int a <= Bitvec.to_int b then a else b
-let bv_max_u a b = if Bitvec.to_int a >= Bitvec.to_int b then a else b
-let bv_min_s a b = if Bitvec.to_signed a <= Bitvec.to_signed b then a else b
-let bv_max_s a b = if Bitvec.to_signed a >= Bitvec.to_signed b then a else b
+module Opkind = Operators.Opkind
+
+(* The catalogue kind each term operator applies (n-ary AC operators
+   fold the binary kind). *)
+let kind_of_op = function
+  | Add -> Opkind.(Bin Add)
+  | Mul -> Opkind.(Bin Mul)
+  | And -> Opkind.(Bin And)
+  | Or -> Opkind.(Bin Or)
+  | Xor -> Opkind.(Bin Xor)
+  | Neg -> Opkind.(Un Neg)
+  | Not -> Opkind.(Un Not)
+  | Abs -> Opkind.(Un Abs)
+  | Divu -> Opkind.(Bin Divu)
+  | Divs -> Opkind.(Bin Divs)
+  | Remu -> Opkind.(Bin Remu)
+  | Rems -> Opkind.(Bin Rems)
+  | Shl -> Opkind.(Bin Shl)
+  | Shrl -> Opkind.(Bin Shrl)
+  | Shra -> Opkind.(Bin Shra)
+  | Minu -> Opkind.(Bin Minu)
+  | Maxu -> Opkind.(Bin Maxu)
+  | Mins -> Opkind.(Bin Mins)
+  | Maxs -> Opkind.(Bin Maxs)
+  | Eq -> Opkind.(Cmp Eq)
+  | Ne -> Opkind.(Cmp Ne)
+  | Ltu -> Opkind.(Cmp Ltu)
+  | Leu -> Opkind.(Cmp Leu)
+  | Gtu -> Opkind.(Cmp Gtu)
+  | Geu -> Opkind.(Cmp Geu)
+  | Lts -> Opkind.(Cmp Lts)
+  | Les -> Opkind.(Cmp Les)
+  | Gts -> Opkind.(Cmp Gts)
+  | Ges -> Opkind.(Cmp Ges)
+  | Mux -> Opkind.Mux
+  | Zext -> Opkind.Zext
+  | Sext -> Opkind.Sext
+
+let is_ac = function Add | Mul | And | Or | Xor -> true | _ -> false
 
 let apply_op op ~width args =
-  match (op, args) with
-  | Add, x :: xs -> List.fold_left Bitvec.add x xs
-  | Mul, x :: xs -> List.fold_left Bitvec.mul x xs
-  | And, x :: xs -> List.fold_left Bitvec.logand x xs
-  | Or, x :: xs -> List.fold_left Bitvec.logor x xs
-  | Xor, x :: xs -> List.fold_left Bitvec.logxor x xs
-  | Neg, [ a ] -> Bitvec.neg a
-  | Not, [ a ] -> Bitvec.lognot a
-  | Abs, [ a ] -> if Bitvec.msb a then Bitvec.neg a else a
-  | Divu, [ a; b ] -> Bitvec.udiv a b
-  | Divs, [ a; b ] -> Bitvec.sdiv a b
-  | Remu, [ a; b ] -> Bitvec.urem a b
-  | Rems, [ a; b ] -> Bitvec.srem a b
-  | Shl, [ a; b ] -> Bitvec.shift_left a (Bitvec.to_int b)
-  | Shrl, [ a; b ] -> Bitvec.shift_right_logical a (Bitvec.to_int b)
-  | Shra, [ a; b ] -> Bitvec.shift_right_arith a (Bitvec.to_int b)
-  | Minu, [ a; b ] -> bv_min_u a b
-  | Maxu, [ a; b ] -> bv_max_u a b
-  | Mins, [ a; b ] -> bv_min_s a b
-  | Maxs, [ a; b ] -> bv_max_s a b
-  | Eq, [ a; b ] -> Bitvec.eq a b
-  | Ne, [ a; b ] -> Bitvec.ne a b
-  | Ltu, [ a; b ] -> Bitvec.ult a b
-  | Leu, [ a; b ] -> Bitvec.ule a b
-  | Gtu, [ a; b ] -> Bitvec.ugt a b
-  | Geu, [ a; b ] -> Bitvec.uge a b
-  | Lts, [ a; b ] -> Bitvec.slt a b
-  | Les, [ a; b ] -> Bitvec.sle a b
-  | Gts, [ a; b ] -> Bitvec.sgt a b
-  | Ges, [ a; b ] -> Bitvec.sge a b
+  match (kind_of_op op, args) with
+  | Bin f, x :: xs when is_ac op -> List.fold_left (Opkind.bin_bitvec f) x xs
+  | Bin f, [ a; b ] -> Opkind.bin_bitvec f a b
+  | Cmp f, [ a; b ] -> Opkind.cmp_bitvec f a b
+  | Un f, [ a ] -> Opkind.un_bitvec f a
   | Mux, sel :: ins ->
       let s = Bitvec.to_int sel in
       List.nth ins (min s (List.length ins - 1))
@@ -373,41 +383,42 @@ and pushdown op width args =
       | _ -> mk width (App (op, args)))
   | _ -> mk width (App (op, args))
 
-let op_of_kind = function
-  | "add" -> Some Add
-  | "sub" -> None (* callers rewrite sub as Add [a; Neg b] *)
-  | "mul" -> Some Mul
-  | "divu" -> Some Divu
-  | "divs" -> Some Divs
-  | "remu" -> Some Remu
-  | "rems" -> Some Rems
-  | "and" -> Some And
-  | "or" -> Some Or
-  | "xor" -> Some Xor
-  | "shl" -> Some Shl
-  | "shrl" -> Some Shrl
-  | "shra" -> Some Shra
-  | "minu" -> Some Minu
-  | "maxu" -> Some Maxu
-  | "mins" -> Some Mins
-  | "maxs" -> Some Maxs
-  | "eq" -> Some Eq
-  | "ne" -> Some Ne
-  | "ltu" -> Some Ltu
-  | "leu" -> Some Leu
-  | "gtu" -> Some Gtu
-  | "geu" -> Some Geu
-  | "lts" -> Some Lts
-  | "les" -> Some Les
-  | "gts" -> Some Gts
-  | "ges" -> Some Ges
-  | "not" -> Some Not
-  | "neg" -> Some Neg
-  | "abs" -> Some Abs
-  | "mux" -> Some Mux
-  | "zext" -> Some Zext
-  | "sext" -> Some Sext
-  | _ -> None
+let op_of_kind : Opkind.t -> op option = function
+  | Bin Add -> Some Add
+  | Bin Sub -> None (* callers rewrite sub as Add [a; Neg b] *)
+  | Bin Mul -> Some Mul
+  | Bin Divu -> Some Divu
+  | Bin Divs -> Some Divs
+  | Bin Remu -> Some Remu
+  | Bin Rems -> Some Rems
+  | Bin And -> Some And
+  | Bin Or -> Some Or
+  | Bin Xor -> Some Xor
+  | Bin Shl -> Some Shl
+  | Bin Shrl -> Some Shrl
+  | Bin Shra -> Some Shra
+  | Bin Minu -> Some Minu
+  | Bin Maxu -> Some Maxu
+  | Bin Mins -> Some Mins
+  | Bin Maxs -> Some Maxs
+  | Cmp Eq -> Some Eq
+  | Cmp Ne -> Some Ne
+  | Cmp Ltu -> Some Ltu
+  | Cmp Leu -> Some Leu
+  | Cmp Gtu -> Some Gtu
+  | Cmp Geu -> Some Geu
+  | Cmp Lts -> Some Lts
+  | Cmp Les -> Some Les
+  | Cmp Gts -> Some Gts
+  | Cmp Ges -> Some Ges
+  | Un Not -> Some Not
+  | Un Neg -> Some Neg
+  | Un Abs -> Some Abs
+  | Un Pass -> None (* identity *)
+  | Mux -> Some Mux
+  | Zext -> Some Zext
+  | Sext -> Some Sext
+  | Const | Reg | Counter | Sram | Rom | Probe | Check | Stop -> None
 
 (* ------------------------------------------------------------------ *)
 (* Traversal                                                            *)
@@ -479,39 +490,7 @@ let eval env t =
 
 (* ------------------------------------------------------------------ *)
 
-let op_name = function
-  | Add -> "add"
-  | Mul -> "mul"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Neg -> "neg"
-  | Not -> "not"
-  | Abs -> "abs"
-  | Divu -> "divu"
-  | Divs -> "divs"
-  | Remu -> "remu"
-  | Rems -> "rems"
-  | Shl -> "shl"
-  | Shrl -> "shrl"
-  | Shra -> "shra"
-  | Minu -> "minu"
-  | Maxu -> "maxu"
-  | Mins -> "mins"
-  | Maxs -> "maxs"
-  | Eq -> "eq"
-  | Ne -> "ne"
-  | Ltu -> "ltu"
-  | Leu -> "leu"
-  | Gtu -> "gtu"
-  | Geu -> "geu"
-  | Lts -> "lts"
-  | Les -> "les"
-  | Gts -> "gts"
-  | Ges -> "ges"
-  | Mux -> "mux"
-  | Zext -> "zext"
-  | Sext -> "sext"
+let op_name op = Opkind.to_string (kind_of_op op)
 
 let rec to_string t =
   match t.node with

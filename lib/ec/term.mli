@@ -71,10 +71,9 @@ val var : width:int -> string -> t
 val read : width:int -> string -> t -> t
 val app : op -> width:int -> t list -> t
 
-val op_of_kind : string -> op option
-(** Maps a netlist operator kind string (["add"], ["divu"], ["mux"],
-    ["zext"], …) to its term operator; ["pass"] is identity and has no
-    operator. [None] for unknown kinds. *)
+val op_of_kind : Operators.Opkind.t -> op option
+(** The term operator of a catalogue kind. [None] for [pass] (identity),
+    [sub] (rewritten as [Add [a; Neg b]]) and the non-functional kinds. *)
 
 val equal : t -> t -> bool
 (** Pointer/id equality — valid because construction hash-conses. *)
@@ -95,9 +94,9 @@ val sample_env : int -> env
 (** The deterministic sampling world [k], built on {!Sampler}. *)
 
 val eval : env -> t -> Bitvec.t
-(** Concrete evaluation with {!Bitvec} semantics; the operator dispatch
-    mirrors the simulators' models, so agreeing terms agree with both
-    simulators too. *)
+(** Concrete evaluation through the operator catalogue's reference
+    semantics ({!Operators.Opkind}), the same functions the simulators
+    run, so agreeing terms agree with both simulators too. *)
 
 val to_string : t -> string
 (** Debug/diagnostic rendering. *)

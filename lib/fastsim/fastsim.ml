@@ -2,6 +2,7 @@ module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
 module Memory = Operators.Memory
 module Compile = Compiler.Compile
 
@@ -16,63 +17,6 @@ let max_mutants_per_batch = max_lanes - 1
    one-to-one onto deltas, so the same bound detects the same loops. *)
 let max_waves = 10_000
 
-
-(* --- integer semantics of the operator catalogue ----------------------- *)
-
-(* Exact int-level replicas of the {!Bitvec} operations the models use.
-   Values are unsigned ints already masked to their width; every function
-   must return a masked value. *)
-
-let mask w = if w = Bitvec.max_width then -1 lsr 1 else (1 lsl w) - 1
-
-let to_signed w v =
-  if (v lsr (w - 1)) land 1 = 1 then v - (mask w + 1) else v
-
-let int_binary kind w =
-  let m = mask w in
-  let sgn v = to_signed w v in
-  match kind with
-  | "add" -> fun a b -> (a + b) land m
-  | "sub" -> fun a b -> (a - b) land m
-  | "mul" -> fun a b -> (a * b) land m
-  | "divu" -> fun a b -> if b = 0 then m else a / b
-  | "remu" -> fun a b -> if b = 0 then a else a mod b
-  | "divs" -> fun a b -> if b = 0 then m else sgn a / sgn b land m
-  | "rems" -> fun a b -> if b = 0 then a else sgn a mod sgn b land m
-  | "and" -> ( land )
-  | "or" -> ( lor )
-  | "xor" -> ( lxor )
-  | "shl" -> fun a b -> if b >= w then 0 else (a lsl b) land m
-  | "shrl" -> fun a b -> if b >= w then 0 else a lsr b
-  | "shra" ->
-      fun a b ->
-        let n = min b w in
-        sgn a asr min n (Bitvec.max_width - 1) land m
-  | "minu" -> fun a b -> if a <= b then a else b
-  | "maxu" -> fun a b -> if a >= b then a else b
-  | "mins" -> fun a b -> if sgn a <= sgn b then a else b
-  | "maxs" -> fun a b -> if sgn a >= sgn b then a else b
-  (* Comparisons: 1-bit results. *)
-  | "eq" -> fun a b -> if a = b then 1 else 0
-  | "ne" -> fun a b -> if a <> b then 1 else 0
-  | "ltu" -> fun a b -> if a < b then 1 else 0
-  | "leu" -> fun a b -> if a <= b then 1 else 0
-  | "gtu" -> fun a b -> if a > b then 1 else 0
-  | "geu" -> fun a b -> if a >= b then 1 else 0
-  | "lts" -> fun a b -> if sgn a < sgn b then 1 else 0
-  | "les" -> fun a b -> if sgn a <= sgn b then 1 else 0
-  | "gts" -> fun a b -> if sgn a > sgn b then 1 else 0
-  | "ges" -> fun a b -> if sgn a >= sgn b then 1 else 0
-  | kind -> unsupported "no binary function for kind %S" kind
-
-let int_unary kind w =
-  let m = mask w in
-  match kind with
-  | "not" -> fun a -> lnot a land m
-  | "neg" -> fun a -> -a land m
-  | "pass" -> Fun.id
-  | "abs" -> fun a -> if (a lsr (w - 1)) land 1 = 1 then -a land m else a
-  | kind -> unsupported "no unary function for kind %S" kind
 
 (* --- compiled design descriptors --------------------------------------- *)
 
@@ -138,10 +82,6 @@ type design = {
 }
 
 type t = { configs : design array }
-
-let is_comb_kind = function
-  | "reg" | "counter" | "check" | "stop" | "probe" -> false
-  | _ -> true
 
 let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
   Dp.validate dp;
@@ -221,102 +161,96 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
       let kind = op.Dp.kind in
       let width = op.Dp.width in
       let params = op.Dp.params in
-      if List.mem kind Opspec.binary_alu_kinds
-         || List.mem kind Opspec.comparison_kinds
-      then begin
-        let a = in_cell op "a" and b = in_cell op "b" in
-        add_comb (Cbin { f = int_binary kind width; a; b; y = out_cell op "y" })
-          [ a; b ]
-      end
-      else if List.mem kind Opspec.unary_kinds then begin
+      let unary f =
         let a = in_cell op "a" in
-        add_comb (Cun { f = int_unary kind width; a; y = out_cell op "y" }) [ a ]
-      end
-      else
-        match kind with
-        | "const" ->
-            add_comb
-              (Cconst
-                 {
-                   v = Opspec.require_int params ~kind "value" land mask width;
-                   y = out_cell op "y";
-                 })
-              []
-        | "zext" ->
-            let a = in_cell op "a" in
-            let m = mask width in
-            add_comb (Cun { f = (fun v -> v land m); a; y = out_cell op "y" }) [ a ]
-        | "sext" ->
-            let a = in_cell op "a" in
-            let from = Opspec.require_int params ~kind "from" in
-            let m = mask width in
-            add_comb
-              (Cun { f = (fun v -> to_signed from v land m); a; y = out_cell op "y" })
-              [ a ]
-        | "mux" ->
-            let n = Opspec.param_int params "inputs" ~default:2 in
-            let ins = Array.init n (fun i -> in_cell op (Printf.sprintf "in%d" i)) in
-            let sel = in_cell op "sel" in
-            add_comb
-              (Cmux { ins; sel; y = out_cell op "y" })
-              (sel :: Array.to_list ins)
-        | "reg" ->
-            let init = Opspec.param_int params "init" ~default:0 in
-            let q = out_cell op "q" in
-            reg_inits := (q, init land mask width) :: !reg_inits;
-            edge := Ereg { d = in_cell op "d"; en = in_cell op "en"; q } :: !edge
-        | "counter" ->
-            edge :=
-              Ecounter
-                {
-                  en = in_cell op "en";
-                  load = in_cell op "load";
-                  d = in_cell op "d";
-                  q = out_cell op "q";
-                  step = Opspec.param_int params "step" ~default:1 land mask width;
-                  m = mask width;
-                }
-              :: !edge
-        | "sram" ->
-            let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
-            let addr = in_cell op "addr" in
-            let dout = out_cell op "dout" in
-            (* Read process first, write process second — the event
-               engine's creation order for the same instance. *)
-            add_comb (Cmemrd { mslot; addr; dout }) [ addr ];
-            edge :=
-              Esramwr
-                {
-                  mslot;
-                  addr;
-                  din = in_cell op "din";
-                  we = in_cell op "we";
-                  dout;
-                }
-              :: !edge
-        | "rom" ->
-            let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
-            let addr = in_cell op "addr" in
-            add_comb (Cmemrd { mslot; addr; dout = out_cell op "dout" }) [ addr ]
-        | "probe" ->
-            (* Probe samples are notifications only; nothing the campaign
-               verdicts observe. *)
-            ()
-        | "check" ->
-            edge :=
-              Echeck
-                {
-                  a = in_cell op "a";
-                  en = in_cell op "en";
-                  expect = Opspec.require_int params ~kind "value" land mask width;
-                  stop =
-                    Opspec.param_string params "action" ~default:"record" = "stop";
-                }
-              :: !edge
-        | "stop" ->
-            let en = in_cell op "en" in
-            add_comb (Cstop { en }) [ en ]
-        | kind -> unsupported "no model for operator kind %S" kind)
+        add_comb (Cun { f; a; y = out_cell op "y" }) [ a ]
+      in
+      let binary f =
+        let a = in_cell op "a" and b = in_cell op "b" in
+        add_comb (Cbin { f; a; b; y = out_cell op "y" }) [ a; b ]
+      in
+      match (Dp.operator_spec op).Opspec.kind with
+      | Bin o -> binary (Opkind.bin_int ~width o)
+      | Cmp o -> binary (Opkind.cmp_int ~width o)
+      | Un o -> unary (Opkind.un_int ~width o)
+      | Const ->
+          add_comb
+            (Cconst
+               {
+                 v = Opspec.require_int params ~kind "value" land Opkind.mask width;
+                 y = out_cell op "y";
+               })
+            []
+      | Zext ->
+          let m = Opkind.mask width in
+          unary (fun v -> v land m)
+      | Sext ->
+          let from = Opspec.require_int params ~kind "from" in
+          let m = Opkind.mask width in
+          unary (fun v -> Opkind.to_signed from v land m)
+      | Mux ->
+          let n = Opspec.param_int params "inputs" ~default:2 in
+          let ins = Array.init n (fun i -> in_cell op (Printf.sprintf "in%d" i)) in
+          let sel = in_cell op "sel" in
+          add_comb
+            (Cmux { ins; sel; y = out_cell op "y" })
+            (sel :: Array.to_list ins)
+      | Reg ->
+          let init = Opspec.param_int params "init" ~default:0 in
+          let q = out_cell op "q" in
+          reg_inits := (q, init land Opkind.mask width) :: !reg_inits;
+          edge := Ereg { d = in_cell op "d"; en = in_cell op "en"; q } :: !edge
+      | Counter ->
+          edge :=
+            Ecounter
+              {
+                en = in_cell op "en";
+                load = in_cell op "load";
+                d = in_cell op "d";
+                q = out_cell op "q";
+                step = Opspec.param_int params "step" ~default:1 land Opkind.mask width;
+                m = Opkind.mask width;
+              }
+            :: !edge
+      | Sram ->
+          let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
+          let addr = in_cell op "addr" in
+          let dout = out_cell op "dout" in
+          (* Read process first, write process second — the event
+             engine's creation order for the same instance. *)
+          add_comb (Cmemrd { mslot; addr; dout }) [ addr ];
+          edge :=
+            Esramwr
+              {
+                mslot;
+                addr;
+                din = in_cell op "din";
+                we = in_cell op "we";
+                dout;
+              }
+            :: !edge
+      | Rom ->
+          let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
+          let addr = in_cell op "addr" in
+          add_comb (Cmemrd { mslot; addr; dout = out_cell op "dout" }) [ addr ]
+      | Probe ->
+          (* Probe samples are notifications only; nothing the campaign
+             verdicts observe. *)
+          ()
+      | Check ->
+          edge :=
+            Echeck
+              {
+                a = in_cell op "a";
+                en = in_cell op "en";
+                expect = Opspec.require_int params ~kind "value" land Opkind.mask width;
+                stop =
+                  Opspec.param_string params "action" ~default:"record" = "stop";
+              }
+            :: !edge
+      | Stop ->
+          let en = in_cell op "en" in
+          add_comb (Cstop { en }) [ en ])
     dp.Dp.operators;
   (* fsm-init runs after every operator process, like its pid does. *)
   add_comb Cfsminit [];
@@ -449,7 +383,11 @@ let compile (compiled : Compile.t) =
 (* Mirror of {!Cyclesim}'s dependency construction: combinational units
    only, sequential q outputs break the chains. *)
 let globally_acyclic (dp : Dp.t) =
-  let comb_ops = List.filter (fun (op : Dp.operator) -> is_comb_kind op.Dp.kind) dp.Dp.operators in
+  let comb_ops =
+    List.filter
+      (fun op -> Opkind.is_comb (Dp.operator_spec op).Opspec.kind)
+      dp.Dp.operators
+  in
   let comb_ids = List.map (fun (op : Dp.operator) -> op.Dp.id) comb_ops in
   let driver : (string, string) Hashtbl.t = Hashtbl.create 64 in
   List.iter

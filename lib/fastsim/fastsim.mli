@@ -38,9 +38,9 @@ type t
     configuration of the source design, in RTG execution order. *)
 
 val compile : Compiler.Compile.t -> t
-(** Compile every partition. Raises {!Unsupported} on constructs the
-    backend has no model for, and the dialect [Invalid] exceptions on
-    structurally broken documents (as the simulators do). *)
+(** Compile every partition. Every operator kind has a model; raises
+    the dialect [Invalid] exceptions on structurally broken documents
+    (as the simulators do). *)
 
 val admissible : Compiler.Compile.t -> (unit, string) result
 (** Whether [auto] backend selection may use the compiled path: every

@@ -36,46 +36,6 @@ let connected env (spec : Opspec.t) =
       (p.Opspec.port_name, s))
     spec.Opspec.ports
 
-let binary_fn = function
-  | "add" -> Bitvec.add
-  | "sub" -> Bitvec.sub
-  | "mul" -> Bitvec.mul
-  | "divu" -> Bitvec.udiv
-  | "divs" -> Bitvec.sdiv
-  | "remu" -> Bitvec.urem
-  | "rems" -> Bitvec.srem
-  | "and" -> Bitvec.logand
-  | "or" -> Bitvec.logor
-  | "xor" -> Bitvec.logxor
-  | "shl" -> fun a b -> Bitvec.shift_left a (Bitvec.to_int b)
-  | "shrl" -> fun a b -> Bitvec.shift_right_logical a (Bitvec.to_int b)
-  | "shra" -> fun a b -> Bitvec.shift_right_arith a (Bitvec.to_int b)
-  | "minu" -> fun a b -> if Bitvec.to_int a <= Bitvec.to_int b then a else b
-  | "maxu" -> fun a b -> if Bitvec.to_int a >= Bitvec.to_int b then a else b
-  | "mins" -> fun a b -> if Bitvec.to_signed a <= Bitvec.to_signed b then a else b
-  | "maxs" -> fun a b -> if Bitvec.to_signed a >= Bitvec.to_signed b then a else b
-  | kind -> Opspec.failf "no binary model for kind %S" kind
-
-let comparison_fn = function
-  | "eq" -> Bitvec.eq
-  | "ne" -> Bitvec.ne
-  | "ltu" -> Bitvec.ult
-  | "leu" -> Bitvec.ule
-  | "gtu" -> Bitvec.ugt
-  | "geu" -> Bitvec.uge
-  | "lts" -> Bitvec.slt
-  | "les" -> Bitvec.sle
-  | "gts" -> Bitvec.sgt
-  | "ges" -> Bitvec.sge
-  | kind -> Opspec.failf "no comparison model for kind %S" kind
-
-let unary_fn = function
-  | "not" -> Bitvec.lognot
-  | "neg" -> Bitvec.neg
-  | "pass" -> Fun.id
-  | "abs" -> fun a -> if Bitvec.msb a then Bitvec.neg a else a
-  | kind -> Opspec.failf "no unary model for kind %S" kind
-
 let comb2 env ~name a b y f =
   ignore
     (Engine.process env.engine ~name ~sensitivity:[ a; b ] (fun () ->
@@ -91,129 +51,125 @@ let instantiate env ~kind ~width ~params =
   let signals = connected env spec in
   let s name = List.assoc name signals in
   let pname = env.instance ^ ":" ^ kind in
-  if List.mem kind Opspec.binary_alu_kinds then
-    comb2 env ~name:pname (s "a") (s "b") (s "y") (binary_fn kind)
-  else if List.mem kind Opspec.comparison_kinds then
-    comb2 env ~name:pname (s "a") (s "b") (s "y") (comparison_fn kind)
-  else if List.mem kind [ "not"; "neg"; "pass"; "abs" ] then
-    comb1 env ~name:pname (s "a") (s "y") (unary_fn kind)
-  else
-    match kind with
-    | "const" ->
-        let value =
-          Bitvec.create ~width (Opspec.require_int params ~kind "value")
-        in
-        ignore
-          (Engine.process env.engine ~name:pname (fun () ->
-               Engine.drive env.engine (s "y") value))
-    | "zext" -> comb1 env ~name:pname (s "a") (s "y") (fun a -> Bitvec.resize a width)
-    | "sext" -> comb1 env ~name:pname (s "a") (s "y") (fun a -> Bitvec.sresize a width)
-    | "mux" ->
-        let n = Opspec.param_int params "inputs" ~default:2 in
-        let ins = Array.init n (fun i -> s (Printf.sprintf "in%d" i)) in
-        let sel = s "sel" and y = s "y" in
-        let body () =
-          let i = min (Engine.value_int sel) (n - 1) in
-          Engine.drive env.engine y (Engine.value ins.(i))
-        in
-        let p = Engine.process env.engine ~name:pname ~sensitivity:[ sel ] body in
-        Array.iter (fun input -> Engine.add_sensitivity p input) ins
-    | "reg" ->
-        let d = s "d" and en = s "en" and q = s "q" in
-        let init = Opspec.param_int params "init" ~default:0 in
-        Engine.force env.engine q (Bitvec.create ~width init);
-        ignore
-          (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
-             (fun () ->
-               if Engine.value_int en = 1 then
-                 Engine.drive env.engine q (Engine.value d)))
-    | "counter" ->
-        let en = s "en" and load = s "load" and d = s "d" and q = s "q" in
-        let step = Bitvec.create ~width (Opspec.param_int params "step" ~default:1) in
-        ignore
-          (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
-             (fun () ->
-               if Engine.value_int load = 1 then
-                 Engine.drive env.engine q (Engine.value d)
-               else if Engine.value_int en = 1 then
-                 Engine.drive env.engine q (Bitvec.add (Engine.value q) step)))
-    | "sram" ->
-        let memory = env.find_memory (Opspec.require_string params ~kind "memory") in
-        if Memory.width memory <> width then
-          invalid_arg
-            (Printf.sprintf "%s: memory %s width %d <> operator width %d"
-               env.instance (Memory.name memory) (Memory.width memory) width);
-        let addr = s "addr" and din = s "din" and we = s "we" and dout = s "dout" in
-        (* Asynchronous read port: dout always mirrors mem[addr]. *)
-        ignore
-          (Engine.process env.engine ~name:(pname ^ "-rd")
-             ~sensitivity:[ addr ] (fun () ->
-               Engine.drive env.engine dout
-                 (Memory.read memory (Engine.value_int addr))));
-        (* Synchronous write port. The read port is also refreshed on
-           every edge: the backing store is shared (other configurations,
-           a host CPU in co-simulation), so the addressed cell can change
-           without the address moving. *)
-        ignore
-          (Engine.on_rising_edge env.engine ~clock:env.clock ~name:(pname ^ "-wr")
-             (fun () ->
-               let a = Engine.value_int addr in
-               if Engine.value_int we = 1 then
-                 Memory.write memory a (Engine.value din);
-               Engine.drive env.engine dout (Memory.read memory a)))
-    | "rom" ->
-        let memory = env.find_memory (Opspec.require_string params ~kind "memory") in
-        if Memory.width memory <> width then
-          invalid_arg
-            (Printf.sprintf "%s: memory %s width mismatch" env.instance
-               (Memory.name memory));
-        let addr = s "addr" and dout = s "dout" in
-        ignore
-          (Engine.process env.engine ~name:pname ~sensitivity:[ addr ]
-             (fun () ->
-               Engine.drive env.engine dout
-                 (Memory.read memory (Engine.value_int addr))))
-    | "probe" ->
-        let a = s "a" in
-        Engine.on_change env.engine a (fun () ->
-            env.notify
-              (Probe_sample
-                 {
-                   instance = env.instance;
-                   time = Engine.now env.engine;
-                   value = Engine.value a;
-                 }))
-    | "check" ->
-        let a = s "a" and en = s "en" in
-        let expect = Bitvec.create ~width (Opspec.require_int params ~kind "value") in
-        let stop_on_fail =
-          Opspec.param_string params "action" ~default:"record" = "stop"
-        in
-        ignore
-          (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
-             (fun () ->
-               if Engine.value_int en = 1
-                  && not (Bitvec.equal (Engine.value a) expect)
-               then begin
-                 env.notify
-                   (Check_failed
-                      {
-                        instance = env.instance;
-                        time = Engine.now env.engine;
-                        got = Engine.value a;
-                        expect;
-                      });
-                 if stop_on_fail then
-                   Engine.request_stop env.engine
-                     (Printf.sprintf "check %s failed" env.instance)
-               end))
-    | "stop" ->
-        let en = s "en" in
-        let reason =
-          Opspec.param_string params "reason" ~default:(env.instance ^ " fired")
-        in
-        ignore
-          (Engine.process env.engine ~name:pname ~sensitivity:[ en ] (fun () ->
-               if Engine.value_int en = 1 then
-                 Engine.request_stop env.engine reason))
-    | kind -> ignore (Opspec.failf "no model for kind %S" kind)
+  match spec.Opspec.kind with
+  | Bin op -> comb2 env ~name:pname (s "a") (s "b") (s "y") (Opkind.bin_bitvec op)
+  | Cmp op ->
+      comb2 env ~name:pname (s "a") (s "b") (s "y") (Opkind.cmp_bitvec op)
+  | Un op -> comb1 env ~name:pname (s "a") (s "y") (Opkind.un_bitvec op)
+  | Const ->
+      let value =
+        Bitvec.create ~width (Opspec.require_int params ~kind "value")
+      in
+      ignore
+        (Engine.process env.engine ~name:pname (fun () ->
+             Engine.drive env.engine (s "y") value))
+  | Zext -> comb1 env ~name:pname (s "a") (s "y") (fun a -> Bitvec.resize a width)
+  | Sext -> comb1 env ~name:pname (s "a") (s "y") (fun a -> Bitvec.sresize a width)
+  | Mux ->
+      let n = Opspec.param_int params "inputs" ~default:2 in
+      let ins = Array.init n (fun i -> s (Printf.sprintf "in%d" i)) in
+      let sel = s "sel" and y = s "y" in
+      let body () =
+        let i = min (Engine.value_int sel) (n - 1) in
+        Engine.drive env.engine y (Engine.value ins.(i))
+      in
+      let p = Engine.process env.engine ~name:pname ~sensitivity:[ sel ] body in
+      Array.iter (fun input -> Engine.add_sensitivity p input) ins
+  | Reg ->
+      let d = s "d" and en = s "en" and q = s "q" in
+      let init = Opspec.param_int params "init" ~default:0 in
+      Engine.force env.engine q (Bitvec.create ~width init);
+      ignore
+        (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
+           (fun () ->
+             if Engine.value_int en = 1 then
+               Engine.drive env.engine q (Engine.value d)))
+  | Counter ->
+      let en = s "en" and load = s "load" and d = s "d" and q = s "q" in
+      let step = Bitvec.create ~width (Opspec.param_int params "step" ~default:1) in
+      ignore
+        (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
+           (fun () ->
+             if Engine.value_int load = 1 then
+               Engine.drive env.engine q (Engine.value d)
+             else if Engine.value_int en = 1 then
+               Engine.drive env.engine q (Bitvec.add (Engine.value q) step)))
+  | Sram ->
+      let memory = env.find_memory (Opspec.require_string params ~kind "memory") in
+      if Memory.width memory <> width then
+        invalid_arg
+          (Printf.sprintf "%s: memory %s width %d <> operator width %d"
+             env.instance (Memory.name memory) (Memory.width memory) width);
+      let addr = s "addr" and din = s "din" and we = s "we" and dout = s "dout" in
+      (* Asynchronous read port: dout always mirrors mem[addr]. *)
+      ignore
+        (Engine.process env.engine ~name:(pname ^ "-rd")
+           ~sensitivity:[ addr ] (fun () ->
+             Engine.drive env.engine dout
+               (Memory.read memory (Engine.value_int addr))));
+      (* Synchronous write port. The read port is also refreshed on
+         every edge: the backing store is shared (other configurations,
+         a host CPU in co-simulation), so the addressed cell can change
+         without the address moving. *)
+      ignore
+        (Engine.on_rising_edge env.engine ~clock:env.clock ~name:(pname ^ "-wr")
+           (fun () ->
+             let a = Engine.value_int addr in
+             if Engine.value_int we = 1 then
+               Memory.write memory a (Engine.value din);
+             Engine.drive env.engine dout (Memory.read memory a)))
+  | Rom ->
+      let memory = env.find_memory (Opspec.require_string params ~kind "memory") in
+      if Memory.width memory <> width then
+        invalid_arg
+          (Printf.sprintf "%s: memory %s width mismatch" env.instance
+             (Memory.name memory));
+      let addr = s "addr" and dout = s "dout" in
+      ignore
+        (Engine.process env.engine ~name:pname ~sensitivity:[ addr ]
+           (fun () ->
+             Engine.drive env.engine dout
+               (Memory.read memory (Engine.value_int addr))))
+  | Probe ->
+      let a = s "a" in
+      Engine.on_change env.engine a (fun () ->
+          env.notify
+            (Probe_sample
+               {
+                 instance = env.instance;
+                 time = Engine.now env.engine;
+                 value = Engine.value a;
+               }))
+  | Check ->
+      let a = s "a" and en = s "en" in
+      let expect = Bitvec.create ~width (Opspec.require_int params ~kind "value") in
+      let stop_on_fail =
+        Opspec.param_string params "action" ~default:"record" = "stop"
+      in
+      ignore
+        (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
+           (fun () ->
+             if Engine.value_int en = 1
+                && not (Bitvec.equal (Engine.value a) expect)
+             then begin
+               env.notify
+                 (Check_failed
+                    {
+                      instance = env.instance;
+                      time = Engine.now env.engine;
+                      got = Engine.value a;
+                      expect;
+                    });
+               if stop_on_fail then
+                 Engine.request_stop env.engine
+                   (Printf.sprintf "check %s failed" env.instance)
+             end))
+  | Stop ->
+      let en = s "en" in
+      let reason =
+        Opspec.param_string params "reason" ~default:(env.instance ^ " fired")
+      in
+      ignore
+        (Engine.process env.engine ~name:pname ~sensitivity:[ en ] (fun () ->
+             if Engine.value_int en = 1 then
+               Engine.request_stop env.engine reason))

@@ -3,7 +3,7 @@ exception Spec_error of string
 type direction = In | Out
 
 type port = { port_name : string; direction : direction; port_width : int }
-type t = { kind : string; ports : port list; sequential : bool }
+type t = { kind : Opkind.t; ports : port list; sequential : bool }
 type params = (string * string) list
 
 let fail fmt = Format.kasprintf (fun s -> raise (Spec_error s)) fmt
@@ -38,16 +38,6 @@ let sel_width n =
     let rec bits v acc = if v = 0 then acc else bits (v lsr 1) (acc + 1) in
     bits (n - 1) 0
 
-let binary_alu_kinds =
-  [ "add"; "sub"; "mul"; "divu"; "divs"; "remu"; "rems";
-    "and"; "or"; "xor"; "shl"; "shrl"; "shra";
-    "minu"; "maxu"; "mins"; "maxs" ]
-
-let comparison_kinds =
-  [ "eq"; "ne"; "ltu"; "leu"; "gtu"; "geu"; "lts"; "les"; "gts"; "ges" ]
-
-let unary_kinds = [ "not"; "neg"; "pass"; "abs" ]
-
 let in_ name w = { port_name = name; direction = In; port_width = w }
 let out name w = { port_name = name; direction = Out; port_width = w }
 
@@ -57,62 +47,54 @@ let check_width kind width =
 
 let lookup ~kind ~width ~params =
   check_width kind width;
-  let comb ports = { kind; ports; sequential = false } in
-  let seq ports = { kind; ports; sequential = true } in
-  if List.mem kind binary_alu_kinds then
-    comb [ in_ "a" width; in_ "b" width; out "y" width ]
-  else if List.mem kind comparison_kinds then
-    comb [ in_ "a" width; in_ "b" width; out "y" 1 ]
-  else if List.mem kind unary_kinds then comb [ in_ "a" width; out "y" width ]
-  else
-    match kind with
-    | "const" ->
-        let (_ : int) = require_int params ~kind "value" in
-        comb [ out "y" width ]
-    | "zext" | "sext" ->
-        let from = require_int params ~kind "from" in
-        check_width (kind ^ ".from") from;
-        comb [ in_ "a" from; out "y" width ]
-    | "mux" ->
-        let n = param_int params "inputs" ~default:2 in
-        if n < 2 then fail "mux needs at least 2 inputs, got %d" n;
-        let ins = List.init n (fun i -> in_ (Printf.sprintf "in%d" i) width) in
-        comb (ins @ [ in_ "sel" (sel_width n); out "y" width ])
-    | "reg" ->
-        seq [ in_ "d" width; in_ "en" 1; out "q" width ]
-    | "counter" ->
-        seq [ in_ "en" 1; in_ "load" 1; in_ "d" width; out "q" width ]
-    | "sram" ->
-        let (_ : string) = require_string params ~kind "memory" in
-        let addr_width = require_int params ~kind "addr-width" in
-        check_width "sram.addr" addr_width;
-        seq
-          [
-            in_ "addr" addr_width;
-            in_ "din" width;
-            in_ "we" 1;
-            out "dout" width;
-          ]
-    | "rom" ->
-        let (_ : string) = require_string params ~kind "memory" in
-        let addr_width = require_int params ~kind "addr-width" in
-        check_width "rom.addr" addr_width;
-        comb [ in_ "addr" addr_width; out "dout" width ]
-    | "probe" -> comb [ in_ "a" width ]
-    | "check" ->
-        (* Clocked: samples (en, a) on the rising edge, so combinational
-           settling transients are never observed. *)
-        let (_ : int) = require_int params ~kind "value" in
-        seq [ in_ "a" width; in_ "en" 1 ]
-    | "stop" -> comb [ in_ "en" 1 ]
-    | kind -> fail "unknown operator kind %S" kind
+  let op =
+    match Opkind.of_string kind with
+    | Some op -> op
+    | None -> fail "unknown operator kind %S" kind
+  in
+  let comb ports = { kind = op; ports; sequential = false } in
+  let seq ports = { kind = op; ports; sequential = true } in
+  match op with
+  | Bin _ -> comb [ in_ "a" width; in_ "b" width; out "y" width ]
+  | Cmp _ -> comb [ in_ "a" width; in_ "b" width; out "y" 1 ]
+  | Un _ -> comb [ in_ "a" width; out "y" width ]
+  | Const ->
+      let (_ : int) = require_int params ~kind "value" in
+      comb [ out "y" width ]
+  | Zext | Sext ->
+      let from = require_int params ~kind "from" in
+      check_width (kind ^ ".from") from;
+      comb [ in_ "a" from; out "y" width ]
+  | Mux ->
+      let n = param_int params "inputs" ~default:2 in
+      if n < 2 then fail "mux needs at least 2 inputs, got %d" n;
+      let ins = List.init n (fun i -> in_ (Printf.sprintf "in%d" i) width) in
+      comb (ins @ [ in_ "sel" (sel_width n); out "y" width ])
+  | Reg -> seq [ in_ "d" width; in_ "en" 1; out "q" width ]
+  | Counter -> seq [ in_ "en" 1; in_ "load" 1; in_ "d" width; out "q" width ]
+  | Sram ->
+      let (_ : string) = require_string params ~kind "memory" in
+      let addr_width = require_int params ~kind "addr-width" in
+      check_width "sram.addr" addr_width;
+      seq
+        [
+          in_ "addr" addr_width;
+          in_ "din" width;
+          in_ "we" 1;
+          out "dout" width;
+        ]
+  | Rom ->
+      let (_ : string) = require_string params ~kind "memory" in
+      let addr_width = require_int params ~kind "addr-width" in
+      check_width "rom.addr" addr_width;
+      comb [ in_ "addr" addr_width; out "dout" width ]
+  | Probe -> comb [ in_ "a" width ]
+  | Check ->
+      (* Clocked: samples (en, a) on the rising edge, so combinational
+         settling transients are never observed. *)
+      let (_ : int) = require_int params ~kind "value" in
+      seq [ in_ "a" width; in_ "en" 1 ]
+  | Stop -> comb [ in_ "en" 1 ]
 
-let special_kinds =
-  [ "const"; "zext"; "sext"; "mux"; "reg"; "counter"; "sram"; "rom";
-    "probe"; "check"; "stop" ]
-
-let all_kinds =
-  List.sort compare
-    (binary_alu_kinds @ comparison_kinds @ unary_kinds @ special_kinds)
-
-let is_known kind = List.mem kind all_kinds
+let all_kinds = List.sort compare (List.map Opkind.to_string Opkind.all)
+let is_known kind = Option.is_some (Opkind.of_string kind)

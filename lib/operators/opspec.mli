@@ -1,4 +1,4 @@
-(** Catalogue of operator kinds and their port interfaces.
+(** Port interfaces of the operator catalogue ({!Opkind}).
 
     Pure metadata: the datapath dialect is validated against it and the
     HDL emitters consult it; the simulation models in {!Models} implement
@@ -17,7 +17,7 @@ type port = {
 }
 
 type t = {
-  kind : string;
+  kind : Opkind.t;  (** Resolved once, here. *)
   ports : port list;
   sequential : bool;  (** True for clocked operators (reg, counter, sram). *)
 }
@@ -47,12 +47,3 @@ val lookup : kind:string -> width:int -> params:params -> t
 val is_known : string -> bool
 val all_kinds : string list
 (** Every supported kind, sorted. *)
-
-val binary_alu_kinds : string list
-(** Kinds with ports a,b -> y at the data width (add, sub, mul, ...). *)
-
-val comparison_kinds : string list
-(** Kinds with ports a,b -> y where y is 1 bit wide. *)
-
-val unary_kinds : string list
-(** Kinds with ports a -> y at the data width (not, neg, pass, abs). *)

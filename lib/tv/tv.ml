@@ -559,7 +559,9 @@ let term_of_sexp s =
     | Sfree (key, w) -> Et.var ~width:w ("f:" ^ key)
     | Sread (m, w, a) -> Et.read ~width:w m (go a)
     | Sapp (kind, w, args) -> (
-        match (Et.op_of_kind kind, args) with
+        match
+          (Option.bind (Operators.Opkind.of_string kind) Et.op_of_kind, args)
+        with
         | Some op, _ -> Et.app op ~width:w (List.map go args)
         | None, [ a ] when kind = "pass" -> go a
         | None, [ a; b ] when kind = "sub" ->

@@ -80,10 +80,10 @@ let test_dom_lattice () =
   Alcotest.(check (option int)) "const is const" (Some 7) (Dom.is_const (c 7));
   Alcotest.(check (option int))
     "add folds" (Some 7)
-    (Dom.is_const (Dom.binary "add" (c 3) (c 4)));
+    (Dom.is_const (Dom.binary Add (c 3) (c 4)));
   Alcotest.(check (option int))
     "not folds" (Some 255)
-    (Dom.is_const (Dom.unary "not" ~width:8 (c 0)));
+    (Dom.is_const (Dom.unary Not (c 0)));
   let j = Dom.join (c 2) (c 5) in
   Alcotest.(check bool) "join keeps 2" true (Dom.contains j 2);
   Alcotest.(check bool) "join keeps 5" true (Dom.contains j 5);

@@ -3,6 +3,7 @@
 open Sim
 module Memory = Operators.Memory
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
 module Models = Operators.Models
 
 let bv ~width v = Bitvec.create ~width v
@@ -265,34 +266,98 @@ let test_model_zext_sext () =
   ignore (Engine.run ~max_time:10 engine);
   check_int "sign extended" 0xFA (Engine.value_int (port s "y"))
 
-(* Property: every ALU model computes the same function as Bitvec. *)
+(* The functional kinds of the catalogue: every kind with a semantics. *)
+let functional_kinds =
+  List.filter
+    (function Opkind.Bin _ | Cmp _ | Un _ -> true | _ -> false)
+    Opkind.all
+
+(* Property: every functional model computes its catalogue function. *)
 let prop_alu_models_match_bitvec =
   QCheck2.Test.make ~name:"ALU models match Bitvec" ~count:100
     QCheck2.Gen.(
-      triple
-        (oneofl [ "add"; "sub"; "mul"; "and"; "or"; "xor"; "divu"; "remu" ])
-        (int_range 0 255) (int_range 0 255))
-    (fun (kind, a, b) ->
-      let engine, s, _, _ = harness kind in
+      triple (oneofl functional_kinds) (int_range 0 255) (int_range 0 255))
+    (fun (k, a, b) ->
+      let engine, s, _, _ = harness (Opkind.to_string k) in
       Engine.drive engine (port s "a") (bv ~width:8 a);
-      Engine.drive engine (port s "b") (bv ~width:8 b);
+      (match List.assoc_opt "b" s with
+      | Some port_b -> Engine.drive engine port_b (bv ~width:8 b)
+      | None -> ());
       ignore (Engine.run ~max_time:50 engine);
+      let a = bv ~width:8 a and b = bv ~width:8 b in
       let expected =
-        let f =
-          match kind with
-          | "add" -> Bitvec.add
-          | "sub" -> Bitvec.sub
-          | "mul" -> Bitvec.mul
-          | "and" -> Bitvec.logand
-          | "or" -> Bitvec.logor
-          | "xor" -> Bitvec.logxor
-          | "divu" -> Bitvec.udiv
-          | "remu" -> Bitvec.urem
-          | _ -> assert false
-        in
-        f (bv ~width:8 a) (bv ~width:8 b)
+        match k with
+        | Bin o -> Opkind.bin_bitvec o a b
+        | Cmp o -> Opkind.cmp_bitvec o a b
+        | Un o -> Opkind.un_bitvec o a
+        | _ -> assert false
       in
       Engine.value_int (port s "y") = Bitvec.to_int expected)
+
+(* --- the catalogue ---------------------------------------------------- *)
+
+let test_opkind_names () =
+  List.iter
+    (fun k ->
+      check_bool (Opkind.to_string k) true
+        (Opkind.of_string (Opkind.to_string k) = Some k))
+    Opkind.all;
+  check_bool "unknown" true (Opkind.of_string "nope" = None);
+  Alcotest.(check (list string))
+    "all_kinds"
+    [ "abs"; "add"; "and"; "check"; "const"; "counter"; "divs"; "divu";
+      "eq"; "ges"; "geu"; "gts"; "gtu"; "les"; "leu"; "lts"; "ltu"; "maxs";
+      "maxu"; "mins"; "minu"; "mul"; "mux"; "ne"; "neg"; "not"; "or";
+      "pass"; "probe"; "reg"; "rems"; "remu"; "rom"; "sext"; "shl"; "shra";
+      "shrl"; "sram"; "stop"; "sub"; "xor"; "zext" ]
+    Opspec.all_kinds
+
+(* The masked-int fast path at [width] agrees with the Bitvec reference
+   on operands [a] and [b] (already masked). *)
+let paths_agree ~width k a b =
+  let v x = Bitvec.create ~width x in
+  match k with
+  | Opkind.Bin o ->
+      Opkind.bin_int ~width o a b = Bitvec.to_int (Opkind.bin_bitvec o (v a) (v b))
+  | Cmp o ->
+      Opkind.cmp_int ~width o a b = Bitvec.to_int (Opkind.cmp_bitvec o (v a) (v b))
+  | Un o -> Opkind.un_int ~width o a = Bitvec.to_int (Opkind.un_bitvec o (v a))
+  | _ -> true
+
+(* Edge operands of a width: zero, one, all-ones, both sides of the sign
+   boundary, and the shift amounts around the width. *)
+let edge_values width =
+  let m = Opkind.mask width in
+  let half = 1 lsl (width - 1) in
+  List.sort_uniq compare
+    (List.filter
+       (fun v -> v >= 0 && v <= m)
+       [ 0; 1; m; half; half - 1; width - 1; width; width + 1 ])
+
+let test_paths_agree_on_edges () =
+  for width = 1 to Bitvec.max_width do
+    let edges = edge_values width in
+    List.iter
+      (fun k ->
+        List.iter
+          (fun a ->
+            List.iter
+              (fun b ->
+                if not (paths_agree ~width k a b) then
+                  Alcotest.failf "%s width %d: int path disagrees on %d, %d"
+                    (Opkind.to_string k) width a b)
+              edges)
+          edges)
+      functional_kinds
+  done
+
+let prop_paths_agree =
+  QCheck2.Test.make ~name:"int path matches Bitvec path" ~count:2000
+    QCheck2.Gen.(
+      quad (oneofl functional_kinds) (int_range 1 Bitvec.max_width) int int)
+    (fun (k, width, a, b) ->
+      let m = Opkind.mask width in
+      paths_agree ~width k (a land m) (b land m))
 
 let suite =
   [
@@ -321,4 +386,7 @@ let suite =
     ("model min/max/abs", `Quick, test_model_minmax_abs);
     ("model sext", `Quick, test_model_zext_sext);
     QCheck_alcotest.to_alcotest prop_alu_models_match_bitvec;
+    ("opkind names round-trip", `Quick, test_opkind_names);
+    ("int path matches Bitvec on edges", `Quick, test_paths_agree_on_edges);
+    QCheck_alcotest.to_alcotest prop_paths_agree;
   ]
