@@ -1,4 +1,5 @@
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
@@ -450,54 +451,35 @@ type t = {
   seconds : float;
 }
 
-(* Pre-resolved structure shared by every state evaluation. *)
+(* Pre-resolved structure shared by every state evaluation. Abstract
+   values live in string-keyed cells: ["inst.port"] for operator
+   outputs, ["ctl.<name>"] for controls. *)
 type prep = {
   p_dp : Dp.t;
   p_fsm : Fsm.t;
-  spec : (string, Opspec.t) Hashtbl.t;
-  driver : (string, string) Hashtbl.t; (* "inst.port" -> source key *)
-  eval_ops : Dp.operator list; (* combinational for evaluation (doc order) *)
-  eval_ids : (string, unit) Hashtbl.t;
-  seq_ops : Dp.operator list; (* reg + counter, doc order *)
-  mem_contents : (string, int array) Hashtbl.t;
+  e : Elab.t;
+  seq_ops : Elab.op list; (* reg + counter, doc order *)
+  mem_contents : (int, int array) Hashtbl.t;
       (* op id -> initial words (zero-padded to size), for memory ports
          proved read-only within this design whose initial contents the
          caller declared via [analyze ?memories]. *)
 }
 
-let build_prep ?(memories = []) dp fsm =
-  let spec = Hashtbl.create 32 in
-  List.iter
-    (fun (op : Dp.operator) ->
-      Hashtbl.replace spec op.Dp.id (Dp.operator_spec op))
-    dp.Dp.operators;
-  let driver = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Dp.net) ->
-      let src =
-        match n.Dp.source with
-        | Dp.From_op ep -> Dp.endpoint_to_string ep
-        | Dp.From_control name -> "ctl." ^ name
-      in
-      List.iter
-        (fun ep -> Hashtbl.replace driver (Dp.endpoint_to_string ep) src)
-        n.Dp.sinks)
-    dp.Dp.nets;
-  (* The evaluation notion of "combinational" is the cycle simulator's. *)
-  let eval_ops =
-    List.filter
-      (fun (op : Dp.operator) ->
-        Opkind.is_comb (Hashtbl.find spec op.Dp.id).Opspec.kind)
-      dp.Dp.operators
-  in
-  let eval_ids = Hashtbl.create 32 in
-  List.iter
-    (fun (op : Dp.operator) -> Hashtbl.replace eval_ids op.Dp.id ())
-    eval_ops;
+let out_key o = Elab.endpoint o (Elab.out_port o)
+
+let driver_key = function
+  | Elab.Op_out (o, p) -> Elab.endpoint o p
+  | Elab.Ctl c -> "ctl." ^ c.Dp.ctl_name
+
+let memory_name (op : Elab.op) =
+  Opspec.param_string op.Elab.params "memory" ~default:"?"
+
+let build_prep ?(memories = []) e fsm =
+  let ops = Elab.ops e in
   let seq_ops =
     List.filter
-      (fun (op : Dp.operator) -> op.Dp.kind = "reg" || op.Dp.kind = "counter")
-      dp.Dp.operators
+      (fun (o : Elab.op) -> match o.Elab.kind with Reg | Counter -> true | _ -> false)
+      ops
   in
   (* Per-cell abstract memory: a memory port's reads can use the declared
      initial contents only when nothing in this design can overwrite
@@ -507,207 +489,98 @@ let build_prep ?(memories = []) dp fsm =
      it too. The caller is responsible for only declaring [memories]
      whose contents no other configuration (or host) mutates. *)
   let mem_contents = Hashtbl.create 4 in
-  let we_tied_zero (op : Dp.operator) =
-    match Hashtbl.find_opt driver (op.Dp.id ^ ".we") with
-    | Some src when not (String.length src >= 4 && String.sub src 0 4 = "ctl.")
-      -> (
-        let ep = Dp.endpoint_of_string src in
-        match Dp.find_operator dp ep.Dp.inst with
-        | Some d ->
-            d.Dp.kind = "const"
-            && Opspec.param_int d.Dp.params "value" ~default:(-1) = 0
-        | None -> false)
-    | Some _ | None -> false
+  let never_written_port (o : Elab.op) =
+    match o.Elab.kind with
+    | Rom -> true
+    | _ -> (
+        match Elab.driver o "we" with
+        | Elab.Op_out ({ Elab.kind = Const; params; _ }, _) ->
+            Opspec.param_int params "value" ~default:(-1) = 0
+        | Elab.Op_out _ | Elab.Ctl _ -> false)
   in
   let mem_ports =
     List.filter
-      (fun (op : Dp.operator) -> op.Dp.kind = "sram" || op.Dp.kind = "rom")
-      dp.Dp.operators
+      (fun (o : Elab.op) -> match o.Elab.kind with Sram | Rom -> true | _ -> false)
+      ops
   in
   let never_written name =
     List.for_all
-      (fun (op : Dp.operator) ->
-        Opspec.param_string op.Dp.params "memory" ~default:"?" <> name
-        || op.Dp.kind = "rom" || we_tied_zero op)
+      (fun o -> memory_name o <> name || never_written_port o)
       mem_ports
   in
   List.iter
-    (fun (op : Dp.operator) ->
-      let name = Opspec.param_string op.Dp.params "memory" ~default:"?" in
-      let size = Opspec.param_int op.Dp.params "size" ~default:0 in
+    (fun (o : Elab.op) ->
+      let name = memory_name o in
+      let size = Opspec.param_int o.Elab.params "size" ~default:0 in
       match List.assoc_opt name memories with
       | Some init when size > 0 && never_written name ->
-          let m = umax op.Dp.width in
+          let m = umax o.Elab.width in
           let words =
             Array.init size (fun i ->
                 if i < List.length init then List.nth init i land m else 0)
           in
-          Hashtbl.replace mem_contents op.Dp.id words
+          Hashtbl.replace mem_contents o.Elab.id words
       | Some _ | None -> ())
     mem_ports;
-  { p_dp = dp; p_fsm = fsm; spec; driver; eval_ops; eval_ids; seq_ops;
-    mem_contents }
+  { p_dp = Elab.datapath e; p_fsm = fsm; e; seq_ops; mem_contents }
 
-let kind_of prep (op : Dp.operator) = (Hashtbl.find prep.spec op.Dp.id).Opspec.kind
+let out_width (op : Elab.op) = (Elab.out_port op).Opspec.port_width
 
-let out_port (op : Dp.operator) =
-  match op.Dp.kind with "sram" | "rom" -> "dout" | _ -> "y"
+let input_dom cells (op : Elab.op) port =
+  let src = driver_key (Elab.driver op port) in
+  match Hashtbl.find_opt cells src with
+  | Some d -> d
+  | None -> failwith ("absint: no value for " ^ src)
 
-let out_width prep (op : Dp.operator) =
-  let s = Hashtbl.find prep.spec op.Dp.id in
-  let p = out_port op in
-  match
-    List.find_opt (fun (q : Opspec.port) -> q.Opspec.port_name = p) s.Opspec.ports
-  with
-  | Some q -> q.Opspec.port_width
-  | None -> op.Dp.width
-
-let input_dom prep cells (op : Dp.operator) port =
-  let key = op.Dp.id ^ "." ^ port in
-  match Hashtbl.find_opt prep.driver key with
-  | None -> failwith ("absint: unconnected input " ^ key)
-  | Some src -> (
-      match Hashtbl.find_opt cells src with
-      | Some d -> d
-      | None -> failwith ("absint: no value for " ^ src))
-
-let mux_inputs (op : Dp.operator) =
-  Opspec.param_int op.Dp.params "inputs" ~default:2
+let mux_inputs (op : Elab.op) =
+  Opspec.param_int op.Elab.params "inputs" ~default:2
 
 (* One abstract settle of the combinational network in a single FSM
    state. Muxes whose select evaluates to a constant are restricted to
    their selected input, which both sharpens values and breaks
    structural cycles; the loop re-restricts until no select resolves
    further. Operators on residual cycles conservatively evaluate to
-   top. Returns the settled cells, the residual (stuck) operator ids
-   and the resolved selects. *)
+   top. Returns the resolved selects (op id -> selected input). *)
 let settle prep cells =
-  let resolved : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let stuck = ref [] in
+  let resolved : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* Dependency edges respecting resolved mux selects. *)
+  let deps (op : Elab.op) =
+    match (op.Elab.kind, Hashtbl.find_opt resolved op.Elab.id) with
+    | Mux, Some i -> (
+        match Elab.driver op (Printf.sprintf "in%d" i) with
+        | Elab.Op_out (src, _) -> [ src ]
+        | Elab.Ctl _ -> [])
+    | _ -> Elab.comb_preds op
+  in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    (* Dependency edges among evaluation-comb ops, respecting resolved
-       mux selects. *)
-    let deps (op : Dp.operator) =
-      let ports =
-        match (op.Dp.kind, Hashtbl.find_opt resolved op.Dp.id) with
-        | "mux", Some i -> [ Printf.sprintf "in%d" i ]
-        | _ ->
-            List.filter_map
-              (fun (p : Opspec.port) ->
-                if p.Opspec.direction = Opspec.In then Some p.Opspec.port_name
-                else None)
-              (Hashtbl.find prep.spec op.Dp.id).Opspec.ports
-      in
-      List.filter_map
-        (fun port ->
-          match Hashtbl.find_opt prep.driver (op.Dp.id ^ "." ^ port) with
-          | Some src
-            when not (String.length src >= 4 && String.sub src 0 4 = "ctl.") ->
-              let inst = (Dp.endpoint_of_string src).Dp.inst in
-              if Hashtbl.mem prep.eval_ids inst && inst <> op.Dp.id then
-                Some inst
-              else None
-          | Some _ | None -> None)
-        ports
-      |> List.sort_uniq compare
-    in
-    (* Self-loops: an op depending on itself can never be ordered. *)
-    let self_dep (op : Dp.operator) =
-      let ports =
-        match (op.Dp.kind, Hashtbl.find_opt resolved op.Dp.id) with
-        | "mux", Some i -> [ Printf.sprintf "in%d" i ]
-        | _ ->
-            List.filter_map
-              (fun (p : Opspec.port) ->
-                if p.Opspec.direction = Opspec.In then Some p.Opspec.port_name
-                else None)
-              (Hashtbl.find prep.spec op.Dp.id).Opspec.ports
-      in
-      List.exists
-        (fun port ->
-          match Hashtbl.find_opt prep.driver (op.Dp.id ^ "." ^ port) with
-          | Some src
-            when not (String.length src >= 4 && String.sub src 0 4 = "ctl.") ->
-              (Dp.endpoint_of_string src).Dp.inst = op.Dp.id
-          | Some _ | None -> false)
-        ports
-    in
-    (* Kahn topological sort. *)
-    let indeg = Hashtbl.create 32 and succs = Hashtbl.create 32 in
-    List.iter
-      (fun (op : Dp.operator) -> Hashtbl.replace indeg op.Dp.id 0)
-      prep.eval_ops;
-    List.iter
-      (fun (op : Dp.operator) ->
-        List.iter
-          (fun dep ->
-            Hashtbl.replace succs dep
-              (op.Dp.id :: Option.value ~default:[] (Hashtbl.find_opt succs dep));
-            Hashtbl.replace indeg op.Dp.id (1 + Hashtbl.find indeg op.Dp.id))
-          (deps op);
-        if self_dep op then
-          Hashtbl.replace indeg op.Dp.id (1 + Hashtbl.find indeg op.Dp.id))
-      prep.eval_ops;
-    let ready =
-      ref
-        (List.filter_map
-           (fun (op : Dp.operator) ->
-             if Hashtbl.find indeg op.Dp.id = 0 then Some op.Dp.id else None)
-           prep.eval_ops)
-    in
-    let order = ref [] in
-    while !ready <> [] do
-      match !ready with
-      | [] -> ()
-      | id :: rest ->
-          ready := rest;
-          order := id :: !order;
-          List.iter
-            (fun s ->
-              let d = Hashtbl.find indeg s - 1 in
-              Hashtbl.replace indeg s d;
-              if d = 0 then ready := s :: !ready)
-            (Option.value ~default:[] (Hashtbl.find_opt succs id))
-    done;
-    let order = List.rev !order in
-    let ordered = Hashtbl.create 32 in
-    List.iter (fun id -> Hashtbl.replace ordered id ()) order;
-    stuck :=
-      List.filter_map
-        (fun (op : Dp.operator) ->
-          if Hashtbl.mem ordered op.Dp.id then None else Some op.Dp.id)
-        prep.eval_ops;
+    let order, stuck = Elab.levelize prep.e ~deps in
     (* Residual-cycle members evaluate to top — sound for any value
        they could oscillate through. *)
     List.iter
-      (fun id ->
-        let op = Option.get (Dp.find_operator prep.p_dp id) in
-        Hashtbl.replace cells
-          (id ^ "." ^ out_port op)
-          (Dom.top ~width:(out_width prep op)))
-      !stuck;
+      (fun (op : Elab.op) ->
+        Hashtbl.replace cells (out_key op)
+          (Dom.top ~width:(out_width op)))
+      stuck;
     (* Evaluate the ordered part. *)
     List.iter
-      (fun id ->
-        let op = Option.get (Dp.find_operator prep.p_dp id) in
-        let out = op.Dp.id ^ "." ^ out_port op in
-        let width = op.Dp.width in
+      (fun (op : Elab.op) ->
+        let width = op.Elab.width in
         let v =
-          match kind_of prep op with
+          match op.Elab.kind with
           | Const ->
               Dom.const ~width
-                (Opspec.require_int op.Dp.params ~kind:"const" "value")
-          | Zext -> Dom.resize_u (input_dom prep cells op "a") width
-          | Sext -> Dom.resize_s (input_dom prep cells op "a") width
-          | Un u -> Dom.unary u (input_dom prep cells op "a")
+                (Opspec.require_int op.Elab.params ~kind:"const" "value")
+          | Zext -> Dom.resize_u (input_dom cells op "a") width
+          | Sext -> Dom.resize_s (input_dom cells op "a") width
+          | Un u -> Dom.unary u (input_dom cells op "a")
           | Mux -> (
               let n = mux_inputs op in
-              match Hashtbl.find_opt resolved op.Dp.id with
-              | Some i -> input_dom prep cells op (Printf.sprintf "in%d" i)
+              match Hashtbl.find_opt resolved op.Elab.id with
+              | Some i -> input_dom cells op (Printf.sprintf "in%d" i)
               | None ->
-                  let sel = input_dom prep cells op "sel" in
+                  let sel = input_dom cells op "sel" in
                   let lo = min sel.Dom.lo (n - 1)
                   and hi = min sel.Dom.hi (n - 1) in
                   let rec joins acc i =
@@ -715,11 +588,11 @@ let settle prep cells =
                     else
                       joins
                         (Dom.join acc
-                           (input_dom prep cells op (Printf.sprintf "in%d" i)))
+                           (input_dom cells op (Printf.sprintf "in%d" i)))
                         (i + 1)
                   in
                   let v =
-                    joins (input_dom prep cells op (Printf.sprintf "in%d" lo))
+                    joins (input_dom cells op (Printf.sprintf "in%d" lo))
                       (lo + 1)
                   in
                   Dom.with_taint
@@ -730,11 +603,11 @@ let settle prep cells =
                  initial contents) join the cells the abstract address
                  can reach; out-of-range addresses read as 0, matching
                  the open-decode convention. Other memories yield top. *)
-              match Hashtbl.find_opt prep.mem_contents op.Dp.id with
-              | None -> Dom.top ~width:(out_width prep op)
+              match Hashtbl.find_opt prep.mem_contents op.Elab.id with
+              | None -> Dom.top ~width:(out_width op)
               | Some contents ->
-                  let w = out_width prep op in
-                  let addr = input_dom prep cells op "addr" in
+                  let w = out_width op in
+                  let addr = input_dom cells op "addr" in
                   let size = Array.length contents in
                   if addr.Dom.hi - addr.Dom.lo > 1024 then Dom.top ~width:w
                   else begin
@@ -756,26 +629,26 @@ let settle prep cells =
                   end)
           | Bin b ->
               Dom.binary b
-                (input_dom prep cells op "a")
-                (input_dom prep cells op "b")
+                (input_dom cells op "a")
+                (input_dom cells op "b")
           | Cmp c ->
-              Dom.cmp c (input_dom prep cells op "a") (input_dom prep cells op "b")
+              Dom.cmp c (input_dom cells op "a") (input_dom cells op "b")
           | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
         in
-        Hashtbl.replace cells out v)
+        Hashtbl.replace cells (out_key op) v)
       order;
     (* Resolve further mux selects now that values exist. *)
     List.iter
-      (fun (op : Dp.operator) ->
-        if op.Dp.kind = "mux" && not (Hashtbl.mem resolved op.Dp.id) then
-          match Dom.is_const (input_dom prep cells op "sel") with
+      (fun (op : Elab.op) ->
+        if op.Elab.kind = Mux && not (Hashtbl.mem resolved op.Elab.id) then
+          match Dom.is_const (input_dom cells op "sel") with
           | Some c ->
-              Hashtbl.replace resolved op.Dp.id (min c (mux_inputs op - 1));
+              Hashtbl.replace resolved op.Elab.id (min c (mux_inputs op - 1));
               continue_ := true
           | None -> ())
-      prep.eval_ops
+      (Elab.comb prep.e)
   done;
-  (!stuck, resolved)
+  resolved
 
 (* Abstract values of the control cells in a state (the Moore decode is
    exact: every control is a compile-time constant per state). *)
@@ -795,12 +668,10 @@ let control_cells prep (st : Fsm.state) cells =
 let eval_state prep (st : Fsm.state) store =
   let cells = Hashtbl.create 64 in
   control_cells prep st cells;
-  List.iter
-    (fun (op : Dp.operator) ->
-      Hashtbl.replace cells (op.Dp.id ^ ".q") (List.assoc op.Dp.id store))
-    prep.seq_ops;
-  let stuck, resolved = settle prep cells in
-  (cells, stuck, resolved)
+  List.iter2
+    (fun (op : Elab.op) (_, q) -> Hashtbl.replace cells (out_key op) q)
+    prep.seq_ops store;
+  (cells, settle prep cells)
 
 let status_env prep cells name =
   match
@@ -828,13 +699,12 @@ let examined_guards prep (st : Fsm.state) cells =
   go [] st.Fsm.transitions
 
 let next_store prep cells store =
-  List.map
-    (fun (id, q) ->
-      let op = Option.get (Dp.find_operator prep.p_dp id) in
-      match op.Dp.kind with
-      | "reg" ->
-          let d = input_dom prep cells op "d"
-          and en = input_dom prep cells op "en" in
+  List.map2
+    (fun (op : Elab.op) (id, q) ->
+      match op.Elab.kind with
+      | Reg ->
+          let d = input_dom cells op "d"
+          and en = input_dom cells op "en" in
           let q' =
             match Dom.truth en with
             | Dom.Yes -> d
@@ -842,13 +712,13 @@ let next_store prep cells store =
             | Dom.Maybe -> Dom.join q d
           in
           (id, q')
-      | "counter" ->
-          let en = input_dom prep cells op "en"
-          and load = input_dom prep cells op "load"
-          and d = input_dom prep cells op "d" in
-          let step = Opspec.param_int op.Dp.params "step" ~default:1 in
+      | Counter ->
+          let en = input_dom cells op "en"
+          and load = input_dom cells op "load"
+          and d = input_dom cells op "d" in
+          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
           let stepped =
-            Dom.binary Add q (Dom.const ~width:op.Dp.width step)
+            Dom.binary Add q (Dom.const ~width:op.Elab.width step)
           in
           let q1 =
             match Dom.truth en with
@@ -864,21 +734,21 @@ let next_store prep cells store =
           in
           (id, q')
       | _ -> (id, q))
-    store
+    prep.seq_ops store
 
 let init_store prep =
   List.map
-    (fun (op : Dp.operator) ->
-      match op.Dp.kind with
-      | "reg" ->
-          let init = Opspec.param_int op.Dp.params "init" ~default:0 in
-          let d = Dom.const ~width:op.Dp.width init in
-          if Opspec.param_opt op.Dp.params "init" = None then
+    (fun (op : Elab.op) ->
+      let id = op.Elab.name and width = op.Elab.width and params = op.Elab.params in
+      match op.Elab.kind with
+      | Reg ->
+          let d = Dom.const ~width (Opspec.param_int params "init" ~default:0) in
+          if Opspec.param_opt params "init" = None then
             (* Reset default: taint the value so a read-before-write
                shows up when it reaches an observable. *)
-            (op.Dp.id, Dom.with_taint [ op.Dp.id ] d)
-          else (op.Dp.id, d)
-      | _ -> (op.Dp.id, Dom.const ~width:op.Dp.width 0))
+            (id, Dom.with_taint [ id ] d)
+          else (id, d)
+      | _ -> (id, Dom.const ~width 0))
     prep.seq_ops
 
 let store_join = List.map2 (fun (k, a) (_, b) -> (k, Dom.join a b))
@@ -915,120 +785,110 @@ let store_equal a b = List.for_all2 (fun (_, x) (_, y) -> Dom.equal x y) a b
 
 exception Infeasible_edge
 
-let rec refine_endpoint prep cells resolved depth src (lo, hi) acc =
+let rec refine_endpoint cells resolved depth (src : Elab.driver) (lo, hi) acc =
   if depth > 64 then acc
   else
-    match Hashtbl.find_opt cells src with
+    match Hashtbl.find_opt cells (driver_key src) with
     | None -> acc
-    | Some (d : Dom.t) ->
+    | Some (d : Dom.t) -> (
         if lo > d.Dom.hi || hi < d.Dom.lo then raise Infeasible_edge;
-        if String.length src >= 4 && String.sub src 0 4 = "ctl." then acc
-        else
-          let ep = Dp.endpoint_of_string src in
-          let op =
-            match Dp.find_operator prep.p_dp ep.Dp.inst with
-            | Some op -> op
-            | None -> failwith ("absint: no operator " ^ ep.Dp.inst)
-          in
-          let follow port interval acc =
-            match Hashtbl.find_opt prep.driver (op.Dp.id ^ "." ^ port) with
-            | None -> acc
-            | Some src' ->
-                refine_endpoint prep cells resolved (depth + 1) src' interval
+        match src with
+        | Elab.Ctl _ -> acc
+        | Elab.Op_out (op, _) -> (
+            let follow port interval acc =
+              refine_endpoint cells resolved (depth + 1)
+                (Elab.driver op port) interval acc
+            in
+            let input port =
+              Hashtbl.find_opt cells (driver_key (Elab.driver op port))
+            in
+            let m w = umax w in
+            match op.Elab.kind with
+            | Reg | Counter -> (op.Elab.name, lo, hi) :: acc
+            | Un Pass -> follow "a" (lo, hi) acc
+            | Mux -> (
+                match Hashtbl.find_opt resolved op.Elab.id with
+                | Some i -> follow (Printf.sprintf "in%d" i) (lo, hi) acc
+                | None -> acc)
+            | Bin And when op.Elab.width = 1 && lo >= 1 ->
+                follow "a" (1, 1) (follow "b" (1, 1) acc)
+            | Bin Or when op.Elab.width = 1 && hi = 0 ->
+                follow "a" (0, 0) (follow "b" (0, 0) acc)
+            | Un Not when op.Elab.width = 1 && (hi = 0 || lo >= 1) ->
+                follow "a" ((if hi = 0 then 1 else 0), if hi = 0 then 1 else 0)
                   acc
-          in
-          let input port =
-            match Hashtbl.find_opt prep.driver (op.Dp.id ^ "." ^ port) with
-            | None -> None
-            | Some src' -> Hashtbl.find_opt cells src'
-          in
-          let m w = umax w in
-          match kind_of prep op with
-          | (Reg | Counter) when ep.Dp.port = "q" -> (op.Dp.id, lo, hi) :: acc
-          | Un Pass -> follow "a" (lo, hi) acc
-          | Mux -> (
-              match Hashtbl.find_opt resolved op.Dp.id with
-              | Some i -> follow (Printf.sprintf "in%d" i) (lo, hi) acc
-              | None -> acc)
-          | Bin And when op.Dp.width = 1 && lo >= 1 ->
-              follow "a" (1, 1) (follow "b" (1, 1) acc)
-          | Bin Or when op.Dp.width = 1 && hi = 0 ->
-              follow "a" (0, 0) (follow "b" (0, 0) acc)
-          | Un Not when op.Dp.width = 1 && (hi = 0 || lo >= 1) ->
-              follow "a" ((if hi = 0 then 1 else 0), if hi = 0 then 1 else 0)
-                acc
-          | Cmp c when lo >= 1 || hi = 0 -> (
-              let truth = lo >= 1 in
-              match (input "a", input "b") with
-              | Some da, Some db ->
-                  let w = da.Dom.width in
-                  (* Normalize to an unsigned relation [a R b]: signed
-                     comparisons refine only when both settled operands
-                     are provably non-negative, where the orders agree. *)
-                  let half = if w = 1 then 1 else 1 lsl (w - 1) in
-                  let signed =
-                    match c with Lts | Les | Gts | Ges -> true | _ -> false
-                  in
-                  if
-                    signed
-                    && not (da.Dom.hi < half && db.Dom.hi < half)
-                  then acc
-                  else
-                    let rel =
-                      match (c, truth) with
-                      | (Eq | Ne), _ -> `Eq (truth = (c = Eq))
-                      | ((Ltu | Lts), true) | ((Geu | Ges), false) -> `Lt
-                      | ((Leu | Les), true) | ((Gtu | Gts), false) -> `Le
-                      | ((Gtu | Gts), true) | ((Leu | Les), false) -> `Gt
-                      | ((Geu | Ges), true) | ((Ltu | Lts), false) -> `Ge
+            | Cmp c when lo >= 1 || hi = 0 -> (
+                let truth = lo >= 1 in
+                match (input "a", input "b") with
+                | Some da, Some db ->
+                    let w = da.Dom.width in
+                    (* Normalize to an unsigned relation [a R b]: signed
+                       comparisons refine only when both settled operands
+                       are provably non-negative, where the orders agree. *)
+                    let half = if w = 1 then 1 else 1 lsl (w - 1) in
+                    let signed =
+                      match c with Lts | Les | Gts | Ges -> true | _ -> false
                     in
-                    (* Allowed interval for one operand given the settled
-                       interval of the other, under [a R b]. *)
-                    let bound_a other =
-                      match rel with
-                      | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
-                      | `Eq false ->
-                          (* only a point can be excluded usefully *)
-                          (match Dom.is_const other with
-                          | Some 0 -> Some (1, m w)
-                          | Some v when v = m w -> Some (0, m w - 1)
-                          | _ -> None)
-                      | `Lt ->
-                          if other.Dom.hi = 0 then raise Infeasible_edge
-                          else Some (0, other.Dom.hi - 1)
-                      | `Le -> Some (0, other.Dom.hi)
-                      | `Gt ->
-                          if other.Dom.lo = m w then raise Infeasible_edge
-                          else Some (other.Dom.lo + 1, m w)
-                      | `Ge -> Some (other.Dom.lo, m w)
-                    and bound_b other =
-                      match rel with
-                      | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
-                      | `Eq false ->
-                          (match Dom.is_const other with
-                          | Some 0 -> Some (1, m w)
-                          | Some v when v = m w -> Some (0, m w - 1)
-                          | _ -> None)
-                      | `Lt ->
-                          (* a < b: b > a >= a.lo *)
-                          if other.Dom.lo = m w then raise Infeasible_edge
-                          else Some (other.Dom.lo + 1, m w)
-                      | `Le -> Some (other.Dom.lo, m w)
-                      | `Gt ->
-                          if other.Dom.hi = 0 then raise Infeasible_edge
-                          else Some (0, other.Dom.hi - 1)
-                      | `Ge -> Some (0, other.Dom.hi)
-                    in
-                    let acc =
-                      match bound_a db with
-                      | Some iv -> follow "a" iv acc
-                      | None -> acc
-                    in
-                    (match bound_b da with
-                    | Some iv -> follow "b" iv acc
-                    | None -> acc)
-              | _ -> acc)
-          | _ -> acc
+                    if
+                      signed
+                      && not (da.Dom.hi < half && db.Dom.hi < half)
+                    then acc
+                    else
+                      let rel =
+                        match (c, truth) with
+                        | (Eq | Ne), _ -> `Eq (truth = (c = Eq))
+                        | ((Ltu | Lts), true) | ((Geu | Ges), false) -> `Lt
+                        | ((Leu | Les), true) | ((Gtu | Gts), false) -> `Le
+                        | ((Gtu | Gts), true) | ((Leu | Les), false) -> `Gt
+                        | ((Geu | Ges), true) | ((Ltu | Lts), false) -> `Ge
+                      in
+                      (* Allowed interval for one operand given the settled
+                         interval of the other, under [a R b]. *)
+                      let bound_a other =
+                        match rel with
+                        | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
+                        | `Eq false ->
+                            (* only a point can be excluded usefully *)
+                            (match Dom.is_const other with
+                            | Some 0 -> Some (1, m w)
+                            | Some v when v = m w -> Some (0, m w - 1)
+                            | _ -> None)
+                        | `Lt ->
+                            if other.Dom.hi = 0 then raise Infeasible_edge
+                            else Some (0, other.Dom.hi - 1)
+                        | `Le -> Some (0, other.Dom.hi)
+                        | `Gt ->
+                            if other.Dom.lo = m w then raise Infeasible_edge
+                            else Some (other.Dom.lo + 1, m w)
+                        | `Ge -> Some (other.Dom.lo, m w)
+                      and bound_b other =
+                        match rel with
+                        | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
+                        | `Eq false ->
+                            (match Dom.is_const other with
+                            | Some 0 -> Some (1, m w)
+                            | Some v when v = m w -> Some (0, m w - 1)
+                            | _ -> None)
+                        | `Lt ->
+                            (* a < b: b > a >= a.lo *)
+                            if other.Dom.lo = m w then raise Infeasible_edge
+                            else Some (other.Dom.lo + 1, m w)
+                        | `Le -> Some (other.Dom.lo, m w)
+                        | `Gt ->
+                            if other.Dom.hi = 0 then raise Infeasible_edge
+                            else Some (0, other.Dom.hi - 1)
+                        | `Ge -> Some (0, other.Dom.hi)
+                      in
+                      let acc =
+                        match bound_a db with
+                        | Some iv -> follow "a" iv acc
+                        | None -> acc
+                      in
+                      (match bound_b da with
+                      | Some iv -> follow "b" iv acc
+                      | None -> acc)
+                | _ -> acc)
+            | _ -> acc))
 
 (* Allowed unsigned interval for a status value under one guard literal,
    [None] when the literal carries no interval information. Raises
@@ -1067,6 +927,11 @@ let rec guard_literals polarity g acc =
       guard_literals polarity a (guard_literals polarity b acc)
   | Guard.And _ | Guard.Or _ -> acc
 
+(* The operator output a status taps. *)
+let status_driver prep (s : Dp.status) =
+  let op = Option.get (Elab.find prep.e s.Dp.st_source.Dp.inst) in
+  Elab.Op_out (op, Elab.out_port op)
+
 (* Register constraints implied by asserting [g = polarity] in a state. *)
 let guard_constraints prep (st : Fsm.state) cells resolved polarity g acc =
   ignore st;
@@ -1079,15 +944,15 @@ let guard_constraints prep (st : Fsm.state) cells resolved polarity g acc =
       with
       | None -> acc
       | Some s -> (
-          let src = Dp.endpoint_to_string s.Dp.st_source in
+          let src = status_driver prep s in
           let width =
-            match Hashtbl.find_opt cells src with
+            match Hashtbl.find_opt cells (driver_key src) with
             | Some (d : Dom.t) -> d.Dom.width
             | None -> 1
           in
           match literal_interval ~width op value ~polarity:pol with
           | None -> acc
-          | Some iv -> refine_endpoint prep cells resolved 0 src iv acc))
+          | Some iv -> refine_endpoint cells resolved 0 src iv acc))
     acc
     (guard_literals polarity g [])
 
@@ -1117,12 +982,11 @@ let successors_refined prep (st : Fsm.state) cells resolved next =
     | Some constraints -> (
         try
           let refined =
-            List.map
-              (fun (id, q) ->
-                let op = Option.get (Dp.find_operator prep.p_dp id) in
+            List.map2
+              (fun (op : Elab.op) (id, q) ->
                 let written =
-                  op.Dp.kind <> "reg"
-                  || Dom.truth (input_dom prep cells op "en") <> Dom.No
+                  op.Elab.kind <> Reg
+                  || Dom.truth (input_dom cells op "en") <> Dom.No
                 in
                 if written then (id, q)
                 else
@@ -1137,7 +1001,7 @@ let successors_refined prep (st : Fsm.state) cells resolved next =
                       q constraints
                   in
                   (id, q'))
-              next
+              prep.seq_ops next
           in
           Some (target, refined)
         with Infeasible_edge -> None)
@@ -1174,170 +1038,65 @@ let successors_refined prep (st : Fsm.state) cells resolved next =
 (* ------------------------------------------------------------------ *)
 (* Structural mux-broken cycles (the DP013 warning class)              *)
 
-(* Generic Tarjan over string nodes; returns SCCs in discovery order. *)
-let tarjan nodes succs =
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let sccs = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (succs v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-            stack := rest;
-            Hashtbl.remove on_stack w;
-            if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      sccs := pop [] :: !sccs
-    end
-  in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
-  List.rev !sccs
+let by_name (a : Elab.op) (b : Elab.op) = compare a.Elab.name b.Elab.name
 
-(* Edges among structurally combinational operators (the lint notion:
-   spec not sequential — matching DP013's membership), keeping the sink
-   port so mux restriction can drop unselected edges. *)
-let struct_edges prep =
-  let comb id =
-    match Hashtbl.find_opt prep.spec id with
-    | Some s -> not s.Opspec.sequential
-    | None -> false
-  in
-  List.concat_map
-    (fun (n : Dp.net) ->
-      match n.Dp.source with
-      | Dp.From_control _ -> []
-      | Dp.From_op src when comb src.Dp.inst ->
-          List.filter_map
-            (fun (snk : Dp.endpoint) ->
-              if comb snk.Dp.inst then
-                Some (src.Dp.inst, snk.Dp.inst, snk.Dp.port)
-              else None)
-            n.Dp.sinks
-      | Dp.From_op _ -> [])
-    prep.p_dp.Dp.nets
+(* Structurally combinational operators (the lint notion: spec not
+   sequential — matching DP013's membership). Successors are visited in
+   name order, which fixes the order components are reported in. *)
+let structural (o : Elab.op) = not o.Elab.spec.Opspec.sequential
+
+let struct_succs (o : Elab.op) =
+  List.sort_uniq by_name (List.filter structural (Elab.consumers o))
 
 (* The structurally cyclic components that contain a mux and are broken
    by removing the muxes — exactly the components lint reports as DP013
-   warnings. *)
+   warnings. Members sorted by name. *)
 let mux_broken_components prep =
-  let edges = struct_edges prep in
-  let comb_ids =
-    List.filter_map
-      (fun (op : Dp.operator) ->
-        match Hashtbl.find_opt prep.spec op.Dp.id with
-        | Some s when not s.Opspec.sequential -> Some op.Dp.id
-        | _ -> None)
-      prep.p_dp.Dp.operators
-  in
-  let succs v =
-    List.filter_map (fun (u, w, _) -> if u = v then Some w else None) edges
-    |> List.sort_uniq compare
-  in
-  let kind_of id =
-    Option.map
-      (fun (op : Dp.operator) -> op.Dp.kind)
-      (Dp.find_operator prep.p_dp id)
-  in
-  let self_loop v = List.mem v (succs v) in
-  tarjan comb_ids succs
+  Elab.sccs ~succs:struct_succs
+    (List.filter structural (Elab.ops prep.e))
   |> List.filter (fun scc ->
-         match scc with
-         | [ v ] -> self_loop v
-         | _ :: _ :: _ -> true
-         | [] -> false)
-  |> List.filter (fun scc ->
-         List.exists (fun v -> kind_of v = Some "mux") scc
-         &&
-         (* Cyclic even without the muxes? Then it's the DP013 error
-            class, not ours. *)
-         let members = List.filter (fun v -> kind_of v <> Some "mux") scc in
-         let in_sub v = List.mem v members in
-         let rec dfs path v =
-           List.mem v path
-           || List.exists (fun w -> in_sub w && dfs (v :: path) w) (succs v)
-         in
-         not (List.exists (fun v -> dfs [] v) members))
-  |> List.map (List.sort compare)
+         List.exists (fun (v : Elab.op) -> v.Elab.kind = Mux) scc
+         && not (Elab.cyclic_without_muxes ~succs:struct_succs scc))
+  |> List.map (List.sort by_name)
 
 (* Residual cycle of a component under a state's resolved selects:
    restricted to the members, a resolved mux keeps only its selected
    data input (its select no longer matters). Returns the first
    residual SCC, with whether every mux on it was resolved. *)
-let residual_cycle prep edges members resolved =
-  let in_members v = List.mem v members in
-  let keep (u, w, port) =
-    in_members u && in_members w
-    &&
-    match Hashtbl.find_opt resolved w with
-    | Some i -> port = Printf.sprintf "in%d" i
-    | None -> true
+let residual_cycle members resolved =
+  let succs (v : Elab.op) =
+    List.filter_map
+      (fun ((w : Elab.op), (port : Opspec.port)) ->
+        let kept =
+          List.memq w members
+          &&
+          match Hashtbl.find_opt resolved w.Elab.id with
+          | Some i -> port.Opspec.port_name = Printf.sprintf "in%d" i
+          | None -> true
+        in
+        if kept then Some w else None)
+      v.Elab.fanout
+    |> List.sort_uniq by_name
   in
-  let edges = List.filter keep edges in
-  let succs v =
-    List.filter_map (fun (u, w, _) -> if u = v then Some w else None) edges
-    |> List.sort_uniq compare
-  in
-  let self_loop v = List.mem v (succs v) in
-  let cyc =
-    tarjan members succs
-    |> List.find_opt (fun scc ->
-           match scc with
-           | [ v ] -> self_loop v
-           | _ :: _ :: _ -> true
-           | [] -> false)
-  in
-  Option.map
-    (fun scc ->
+  match Elab.sccs ~succs members with
+  | [] -> None
+  | scc :: _ ->
       let all_resolved =
         List.for_all
-          (fun v ->
-            match Dp.find_operator prep.p_dp v with
-            | Some { Dp.kind = "mux"; _ } -> Hashtbl.mem resolved v
-            | _ -> true)
+          (fun (v : Elab.op) -> v.Elab.kind <> Mux || Hashtbl.mem resolved v.Elab.id)
           scc
       in
-      (List.sort compare scc, all_resolved))
-    cyc
+      Some (List.map (fun (v : Elab.op) -> v.Elab.name) (List.sort by_name scc), all_resolved)
 
 (* ------------------------------------------------------------------ *)
 (* Prover passes (the reporting sweep over the fixpoint)               *)
 
-let sram_size (op : Dp.operator) = Opspec.param_int op.Dp.params "size" ~default:0
+let sram_size (op : Elab.op) = Opspec.param_int op.Elab.params "size" ~default:0
 
-let memory_name (op : Dp.operator) =
-  Opspec.param_string op.Dp.params "memory" ~default:"?"
-
-let dout_consumed prep id =
-  List.exists
-    (fun (n : Dp.net) ->
-      match n.Dp.source with
-      | Dp.From_op { Dp.inst; port = "dout" } -> inst = id && n.Dp.sinks <> []
-      | _ -> false)
-    prep.p_dp.Dp.nets
+let dout_consumed prep (op : Elab.op) =
+  op.Elab.fanout <> []
   || List.exists
-       (fun (s : Dp.status) ->
-         s.Dp.st_source.Dp.inst = id && s.Dp.st_source.Dp.port = "dout")
+       (fun (s : Dp.status) -> s.Dp.st_source.Dp.inst = op.Elab.name)
        prep.p_dp.Dp.statuses
 
 (* Per-state value liveness: the operators whose output can reach an
@@ -1354,63 +1113,52 @@ let dout_consumed prep id =
    there, and such dead-cone facts are noise. *)
 let live_ops prep (st : Fsm.state) cells resolved =
   let live = Hashtbl.create 32 in
-  let rec trace_sink key =
-    match Hashtbl.find_opt prep.driver key with
-    | None -> ()
-    | Some src -> trace_source src
-  and trace_source src =
-    if not (String.length src >= 4 && String.sub src 0 4 = "ctl.") then
-      let ep = Dp.endpoint_of_string src in
-      match Dp.find_operator prep.p_dp ep.Dp.inst with
-      | None -> ()
-      | Some op ->
-          if not (Hashtbl.mem live op.Dp.id) then begin
-            Hashtbl.replace live op.Dp.id ();
-            match op.Dp.kind with
-            | "reg" | "counter" -> ()
-            | "sram" | "rom" -> trace_sink (op.Dp.id ^ ".addr")
-            | "mux" -> (
-                trace_sink (op.Dp.id ^ ".sel");
-                match Hashtbl.find_opt resolved op.Dp.id with
-                | Some i -> trace_sink (Printf.sprintf "%s.in%d" op.Dp.id i)
-                | None ->
-                    for i = 0 to mux_inputs op - 1 do
-                      trace_sink (Printf.sprintf "%s.in%d" op.Dp.id i)
-                    done)
-            | _ ->
-                let s = Hashtbl.find prep.spec op.Dp.id in
-                List.iter
-                  (fun (p : Opspec.port) ->
-                    if p.Opspec.direction = Opspec.In then
-                      trace_sink (op.Dp.id ^ "." ^ p.Opspec.port_name))
-                  s.Opspec.ports
-          end
+  let rec trace_sink (op : Elab.op) port = trace_driver (Elab.driver op port)
+  and trace_driver = function
+    | Elab.Ctl _ -> ()
+    | Elab.Op_out (op, _) -> trace_op op
+  and trace_op (op : Elab.op) =
+    if not (Hashtbl.mem live op.Elab.id) then begin
+      Hashtbl.replace live op.Elab.id ();
+      match op.Elab.kind with
+      | Reg | Counter -> ()
+      | Sram | Rom -> trace_sink op "addr"
+      | Mux -> (
+          trace_sink op "sel";
+          match Hashtbl.find_opt resolved op.Elab.id with
+          | Some i -> trace_sink op (Printf.sprintf "in%d" i)
+          | None ->
+              for i = 0 to mux_inputs op - 1 do
+                trace_sink op (Printf.sprintf "in%d" i)
+              done)
+      | _ -> List.iter (fun (_, d) -> trace_driver d) op.Elab.inputs
+    end
   in
   List.iter
-    (fun (op : Dp.operator) ->
-      let sink port = trace_sink (op.Dp.id ^ "." ^ port) in
-      let armed port = Dom.truth (input_dom prep cells op port) <> Dom.No in
-      match op.Dp.kind with
-      | "reg" ->
+    (fun (op : Elab.op) ->
+      let sink = trace_sink op in
+      let armed port = Dom.truth (input_dom cells op port) <> Dom.No in
+      match op.Elab.kind with
+      | Reg ->
           sink "en";
           if armed "en" then sink "d"
-      | "counter" ->
+      | Counter ->
           sink "en";
           sink "load";
           if armed "load" then sink "d"
-      | "sram" ->
+      | Sram ->
           sink "we";
           if armed "we" then begin
             sink "addr";
             sink "din"
           end
-      | "check" ->
+      | Check ->
           sink "en";
           if armed "en" then sink "a"
-      | "stop" -> sink "en"
-      | "probe" -> sink "a"
+      | Stop -> sink "en"
+      | Probe -> sink "a"
       | _ -> ())
-    prep.p_dp.Dp.operators;
+    (Elab.ops prep.e);
   List.iter
     (fun g ->
       List.iter
@@ -1420,7 +1168,7 @@ let live_ops prep (st : Fsm.state) cells resolved =
               (fun (s : Dp.status) -> s.Dp.st_name = signal)
               prep.p_dp.Dp.statuses
           with
-          | Some s -> trace_source (Dp.endpoint_to_string s.Dp.st_source)
+          | Some s -> trace_driver (status_driver prep s)
           | None -> ())
         (Guard.signals g))
     (examined_guards prep st cells);
@@ -1439,15 +1187,15 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
   let sname = st.Fsm.sname in
   let live = live_ops prep st cells resolved in
   List.iter
-    (fun (op : Dp.operator) ->
-      let id = op.Dp.id in
-      match op.Dp.kind with
-      | "sram" | "rom" ->
+    (fun (op : Elab.op) ->
+      let id = op.Elab.name in
+      match op.Elab.kind with
+      | Sram | Rom ->
           let size = sram_size op in
           if size > 0 then begin
-            let addr = input_dom prep cells op "addr" in
-            (if op.Dp.kind = "sram" then
-               let we = input_dom prep cells op "we" in
+            let addr = input_dom cells op "addr" in
+            (if op.Elab.kind = Sram then
+               let we = input_dom cells op "we" in
                if Dom.truth we <> Dom.No then begin
                  let grade =
                    if addr.Dom.lo >= size then Some `Definite
@@ -1466,13 +1214,13 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
                end);
             if
               addr.Dom.lo >= size
-              && dout_consumed prep id
+              && dout_consumed prep op
               && not (Hashtbl.mem facts.oob_read id)
             then
               Hashtbl.replace facts.oob_read id (sname, addr.Dom.lo, addr.Dom.hi)
           end
-      | "divu" | "divs" | "remu" | "rems" ->
-          let b = input_dom prep cells op "b" in
+      | Bin (Divu | Divs | Remu | Rems) ->
+          let b = input_dom cells op "b" in
           let grade =
             match Dom.truth b with
             | Dom.No -> Some `Always
@@ -1485,8 +1233,8 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
           | Some `Always, Some (`Maybe, _) ->
               Hashtbl.replace facts.div_zero id (`Always, sname)
           | Some _, Some _ -> ())
-      | "zext" | "sext" ->
-          let a = input_dom prep cells op "a" in
+      | Zext | Sext ->
+          let a = input_dom cells op "a" in
           (* Only warn when the analysis actually derived a bound that
              still overflows: a completely unknown input would flag every
              intentional narrowing (index truncation) speculatively. *)
@@ -1496,14 +1244,14 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
             || a.Dom.kmask <> 0
           in
           if
-            op.Dp.width < a.Dom.width
-            && a.Dom.hi > umax op.Dp.width
+            op.Elab.width < a.Dom.width
+            && a.Dom.hi > umax op.Elab.width
             && informed
-            && Hashtbl.mem live id
+            && Hashtbl.mem live op.Elab.id
             && not (Hashtbl.mem facts.trunc id)
           then Hashtbl.replace facts.trunc id (sname, a.Dom.lo, a.Dom.hi)
       | _ -> ())
-    prep.p_dp.Dp.operators;
+    (Elab.ops prep.e);
   (* Uninitialized-value observations. *)
   let observe taints desc =
     List.iter
@@ -1513,26 +1261,26 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
       taints
   in
   List.iter
-    (fun (op : Dp.operator) ->
-      match op.Dp.kind with
-      | "sram" ->
-          let we = input_dom prep cells op "we" in
+    (fun (op : Elab.op) ->
+      match op.Elab.kind with
+      | Sram ->
+          let we = input_dom cells op "we" in
           if Dom.truth we <> Dom.No then begin
             observe
-              (input_dom prep cells op "din").Dom.taint
-              (Printf.sprintf "the write data of memory %s" op.Dp.id);
+              (input_dom cells op "din").Dom.taint
+              (Printf.sprintf "the write data of memory %s" op.Elab.name);
             observe
-              (input_dom prep cells op "addr").Dom.taint
-              (Printf.sprintf "the write address of memory %s" op.Dp.id)
+              (input_dom cells op "addr").Dom.taint
+              (Printf.sprintf "the write address of memory %s" op.Elab.name)
           end
-      | "check" ->
-          let en = input_dom prep cells op "en" in
+      | Check ->
+          let en = input_dom cells op "en" in
           if Dom.truth en <> Dom.No then
             observe
-              (input_dom prep cells op "a").Dom.taint
-              (Printf.sprintf "check %s" op.Dp.id)
+              (input_dom cells op "a").Dom.taint
+              (Printf.sprintf "check %s" op.Elab.name)
       | _ -> ())
-    prep.p_dp.Dp.operators;
+    (Elab.ops prep.e);
   List.iter
     (fun g ->
       List.iter
@@ -1544,14 +1292,14 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
 
 let fact_diags prep facts =
   let by_op f =
-    List.concat_map (fun (op : Dp.operator) -> f op) prep.p_dp.Dp.operators
+    List.concat_map (fun (op : Elab.op) -> f op) (Elab.ops prep.e)
   in
   let oob_write =
     by_op (fun op ->
-        match Hashtbl.find_opt facts.oob_write op.Dp.id with
+        match Hashtbl.find_opt facts.oob_write op.Elab.name with
         | None -> []
         | Some (grade, sname, lo, hi) ->
-            let loc = Printf.sprintf "operator %s" op.Dp.id in
+            let loc = Printf.sprintf "operator %s" op.Elab.name in
             let mem = memory_name op and size = sram_size op in
             [
               (match grade with
@@ -1571,12 +1319,12 @@ let fact_diags prep facts =
   in
   let oob_read =
     by_op (fun op ->
-        match Hashtbl.find_opt facts.oob_read op.Dp.id with
+        match Hashtbl.find_opt facts.oob_read op.Elab.name with
         | None -> []
         | Some (sname, lo, hi) ->
             [
               Diag.warning ~code:"AI002"
-                ~loc:(Printf.sprintf "operator %s" op.Dp.id)
+                ~loc:(Printf.sprintf "operator %s" op.Elab.name)
                 ~hint:"out-of-bounds reads return 0 and count as OOB accesses"
                 "memory read always out of bounds in state %s: address in \
                  [%d, %d], memory %S size %d"
@@ -1585,12 +1333,12 @@ let fact_diags prep facts =
   in
   let uninit =
     by_op (fun op ->
-        match Hashtbl.find_opt facts.uninit op.Dp.id with
+        match Hashtbl.find_opt facts.uninit op.Elab.name with
         | None -> []
         | Some (sname, desc) ->
             [
               Diag.warning ~code:"AI003"
-                ~loc:(Printf.sprintf "operator %s" op.Dp.id)
+                ~loc:(Printf.sprintf "operator %s" op.Elab.name)
                 ~hint:
                   "give the register an explicit init=\"...\" or write it \
                    before use"
@@ -1601,10 +1349,10 @@ let fact_diags prep facts =
   in
   let div_zero =
     by_op (fun op ->
-        match Hashtbl.find_opt facts.div_zero op.Dp.id with
+        match Hashtbl.find_opt facts.div_zero op.Elab.name with
         | None -> []
         | Some (grade, sname) ->
-            let loc = Printf.sprintf "operator %s" op.Dp.id in
+            let loc = Printf.sprintf "operator %s" op.Elab.name in
             [
               (match grade with
               | `Always ->
@@ -1619,16 +1367,16 @@ let fact_diags prep facts =
   in
   let trunc =
     by_op (fun op ->
-        match Hashtbl.find_opt facts.trunc op.Dp.id with
+        match Hashtbl.find_opt facts.trunc op.Elab.name with
         | None -> []
         | Some (sname, lo, hi) ->
             [
               Diag.warning ~code:"AI005"
-                ~loc:(Printf.sprintf "operator %s" op.Dp.id)
+                ~loc:(Printf.sprintf "operator %s" op.Elab.name)
                 ~hint:"widen the output or mask the input explicitly"
                 "truncation drops value bits in state %s: input range [%d, \
                  %d] exceeds the %d-bit output"
-                sname lo hi op.Dp.width;
+                sname lo hi op.Elab.width;
             ])
   in
   oob_write @ oob_read @ uninit @ div_zero @ trunc
@@ -1643,21 +1391,21 @@ let max_visits = 1_000_000
    <=) plus the memory sizes. A bound still moving at the widening
    budget lands on the nearest threshold instead of the domain bound —
    which is exactly where counters bounded by [i < N] stabilize. *)
-let widening_thresholds dp =
+let widening_thresholds e =
   let base =
     List.sort_uniq compare
       (List.concat_map
-         (fun (op : Dp.operator) ->
-           match op.Dp.kind with
-           | "const" ->
-               let v = Opspec.param_int op.Dp.params "value" ~default:0 in
-               let v = v land umax op.Dp.width in
+         (fun (op : Elab.op) ->
+           match op.Elab.kind with
+           | Const ->
+               let v = Opspec.param_int op.Elab.params "value" ~default:0 in
+               let v = v land umax op.Elab.width in
                List.filter (fun t -> t >= 0) [ v - 1; v; v + 1 ]
-           | "sram" | "rom" ->
-               let s = Opspec.param_int op.Dp.params "size" ~default:0 in
+           | Sram | Rom ->
+               let s = sram_size op in
                if s > 0 then [ s - 1; s ] else []
            | _ -> [])
-         dp.Dp.operators)
+         (Elab.ops e))
   in
   (* Array indexing derives bounds multiplicatively (base = row * W for
      a row counter bounded by a constant), so a moving bound's true
@@ -1681,14 +1429,16 @@ let widening_thresholds dp =
 
 let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
   let t0 = Monotonic_clock.now () in
-  (try Dp.validate dp
-   with Dp.Invalid msgs ->
-     failwith ("absint: invalid datapath: " ^ String.concat "; " msgs));
+  let e =
+    try Elab.of_datapath dp
+    with Dp.Invalid msgs ->
+      failwith ("absint: invalid datapath: " ^ String.concat "; " msgs)
+  in
   (try Fsm.validate fsm
    with Fsm.Invalid msgs ->
      failwith ("absint: invalid fsm: " ^ String.concat "; " msgs));
-  let prep = build_prep ~memories dp fsm in
-  let thresholds = widening_thresholds dp in
+  let prep = build_prep ~memories e fsm in
+  let thresholds = widening_thresholds e in
   let state_of name =
     match Fsm.find_state fsm name with
     | Some st -> st
@@ -1715,7 +1465,7 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
       failwith "absint: fixpoint failed to converge";
     let st = state_of name in
     let store = Hashtbl.find entry name in
-    let cells, _, resolved = eval_state prep st store in
+    let cells, resolved = eval_state prep st store in
     let next = next_store prep cells store in
     List.iter
       (fun (target, next) ->
@@ -1773,7 +1523,7 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
     incr iterations;
     let st = state_of name in
     let store = Hashtbl.find entry name in
-    let cells, _, resolved = eval_state prep st store in
+    let cells, resolved = eval_state prep st store in
     let next = next_store prep cells store in
     let succs = successors_refined prep st cells resolved next in
     let now = List.map fst succs in
@@ -1851,7 +1601,6 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
     }
   in
   let components = mux_broken_components prep in
-  let edges = struct_edges prep in
   (* member set -> accumulated verdict *)
   let verdicts =
     List.map (fun members -> (members, ref Proved_acyclic)) components
@@ -1859,14 +1608,14 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
   List.iter
     (fun name ->
       let st = state_of name in
-      let cells, _, resolved = eval_state prep st (Hashtbl.find entry name) in
+      let cells, resolved = eval_state prep st (Hashtbl.find entry name) in
       collect_facts prep facts st cells resolved;
       List.iter
         (fun (members, verdict) ->
           match !verdict with
           | Dynamic_cycle _ -> () (* an error already; keep first witness *)
           | _ -> (
-              match residual_cycle prep edges members resolved with
+              match residual_cycle members resolved with
               | None -> ()
               | Some (through, all_resolved) ->
                   if all_resolved then
@@ -1877,7 +1626,11 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
     reachable;
   let findings =
     List.map
-      (fun (members, verdict) -> { members; cycle_verdict = !verdict })
+      (fun (members, verdict) ->
+        {
+          members = List.map (fun (o : Elab.op) -> o.Elab.name) members;
+          cycle_verdict = !verdict;
+        })
       verdicts
   in
   {

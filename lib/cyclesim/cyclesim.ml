@@ -1,4 +1,5 @@
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
@@ -9,7 +10,7 @@ exception Combinational_cycle of string
 
 type t = {
   fsm : Fsm.t;
-  cells : (string, Bitvec.t ref) Hashtbl.t;  (* "inst.port" / "ctl.name" *)
+  cells : (string, Bitvec.t ref) Hashtbl.t;  (* "inst.port" *)
   comb : (unit -> unit) array;  (* evaluation closures, topo order *)
   latch : (unit -> unit) array;  (* phase 1: compute pending values *)
   commit : (unit -> unit) array;  (* phase 2: apply pending values *)
@@ -22,147 +23,59 @@ type t = {
 }
 
 let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
-  Dp.validate dp;
+  let e = Elab.of_datapath dp in
   Fsm.validate fsm;
+  (* One cell per operator output port, keyed "inst.port". *)
   let cells : (string, Bitvec.t ref) Hashtbl.t = Hashtbl.create 128 in
-  let cell key width =
-    match Hashtbl.find_opt cells key with
-    | Some c -> c
-    | None ->
-        let c = ref (Bitvec.zero width) in
-        Hashtbl.replace cells key c;
-        c
-  in
-  (* Output-port and control cells. *)
   List.iter
-    (fun (op : Dp.operator) ->
+    (fun (o : Elab.op) ->
       List.iter
         (fun (p : Opspec.port) ->
           if p.Opspec.direction = Opspec.Out then
-            ignore (cell (op.Dp.id ^ "." ^ p.Opspec.port_name) p.Opspec.port_width))
-        (Dp.operator_spec op).Opspec.ports)
-    dp.Dp.operators;
+            Hashtbl.replace cells (Elab.endpoint o p)
+              (ref (Bitvec.zero p.Opspec.port_width)))
+        o.Elab.spec.Opspec.ports)
+    (Elab.ops e);
   let controls =
     List.map
-      (fun (c : Dp.control) ->
-        (c.Dp.ctl_name, cell ("ctl." ^ c.Dp.ctl_name) c.Dp.ctl_width))
+      (fun (c : Dp.control) -> (c.Dp.ctl_name, ref (Bitvec.zero c.Dp.ctl_width)))
       dp.Dp.controls
   in
-  (* Input port -> driving cell (plus the driving instance for the
-     dependency graph). *)
-  let driver : (string, string) Hashtbl.t = Hashtbl.create 128 in
-  List.iter
-    (fun (n : Dp.net) ->
-      let src =
-        match n.Dp.source with
-        | Dp.From_op ep -> Dp.endpoint_to_string ep
-        | Dp.From_control name -> "ctl." ^ name
-      in
-      List.iter
-        (fun ep -> Hashtbl.replace driver (Dp.endpoint_to_string ep) src)
-        n.Dp.sinks)
-    dp.Dp.nets;
-  let input_cell op port =
-    let key = op.Dp.id ^ "." ^ port in
-    match Hashtbl.find_opt driver key with
-    | Some src -> Hashtbl.find cells src
-    | None -> failwith ("cyclesim: unconnected input " ^ key)
+  let input_cell o port =
+    match Elab.driver o port with
+    | Elab.Op_out (src, p) -> Hashtbl.find cells (Elab.endpoint src p)
+    | Elab.Ctl c -> List.assoc c.Dp.ctl_name controls
   in
-  let input_driver_inst op port =
-    (* The instance producing the value feeding [op.port], if any. *)
-    match Hashtbl.find_opt driver (op.Dp.id ^ "." ^ port) with
-    | Some src when not (String.length src >= 4 && String.sub src 0 4 = "ctl.") ->
-        Some (Dp.endpoint_of_string src).Dp.inst
-    | Some _ | None -> None
-  in
-  (* Classify operators. Combinational units are topologically sorted by
-     "produces a value consumed by"; sequential outputs (reg/counter q)
-     break the dependency chains. The sram read path is combinational. *)
-  let spec_of (op : Dp.operator) = Dp.operator_spec op in
-  let kind_of op = (spec_of op).Opspec.kind in
-  let comb_ops = List.filter (fun op -> Opkind.is_comb (kind_of op)) dp.Dp.operators in
-  let comb_ids = List.map (fun (op : Dp.operator) -> op.Dp.id) comb_ops in
-  let comb_deps (op : Dp.operator) =
-    (* Combinational predecessors among comb instances. Sequential q
-       outputs and sram dout are state-like... no: sram dout is produced
-       by a comb unit (the sram read), so it IS a dependency. Register
-       and counter outputs are state and excluded. *)
-    List.filter_map
-      (fun (p : Opspec.port) ->
-        if p.Opspec.direction = Opspec.In then
-          match input_driver_inst op p.Opspec.port_name with
-          | Some inst when List.mem inst comb_ids -> Some inst
-          | Some _ | None -> None
-        else None)
-      (spec_of op).Opspec.ports
-  in
-  (* Kahn's algorithm. *)
+  let out_key o = Elab.endpoint o (Elab.out_port o) in
+  let out o = Hashtbl.find cells (out_key o) in
+  (* Combinational units are evaluated in dependency order; sequential
+     outputs (reg/counter q) break the chains, the sram read path does
+     not. *)
   let order =
-    let indeg = Hashtbl.create 64 in
-    let succs = Hashtbl.create 64 in
-    List.iter (fun id -> Hashtbl.replace indeg id 0) comb_ids;
-    List.iter
-      (fun (op : Dp.operator) ->
-        List.iter
-          (fun dep ->
-            if dep <> op.Dp.id then begin
-              Hashtbl.replace succs dep
-                (op.Dp.id :: Option.value ~default:[] (Hashtbl.find_opt succs dep));
-              Hashtbl.replace indeg op.Dp.id
-                (1 + Option.value ~default:0 (Hashtbl.find_opt indeg op.Dp.id))
-            end)
-          (List.sort_uniq compare (comb_deps op)))
-      comb_ops;
-    let ready =
-      ref (List.filter (fun id -> Hashtbl.find indeg id = 0) comb_ids)
-    in
-    let out = ref [] in
-    while !ready <> [] do
-      match !ready with
-      | [] -> ()
-      | id :: rest ->
-          ready := rest;
-          out := id :: !out;
-          List.iter
-            (fun s ->
-              let d = Hashtbl.find indeg s - 1 in
-              Hashtbl.replace indeg s d;
-              if d = 0 then ready := s :: !ready)
-            (Option.value ~default:[] (Hashtbl.find_opt succs id))
-    done;
-    let sorted = List.rev !out in
-    if List.length sorted <> List.length comb_ids then begin
-      let stuck =
-        List.filter (fun id -> not (List.mem id sorted)) comb_ids
-      in
-      raise
-        (Combinational_cycle
-           (Printf.sprintf "combinational cycle through: %s"
-              (String.concat ", "
-                 (List.filteri (fun i _ -> i < 6) stuck))))
-    end;
-    sorted
+    match Elab.levelize e ~deps:Elab.comb_preds with
+    | order, [] -> order
+    | _, stuck ->
+        raise
+          (Combinational_cycle
+             (Printf.sprintf "combinational cycle through: %s"
+                (String.concat ", "
+                   (List.filteri (fun i _ -> i < 6)
+                      (List.map (fun (o : Elab.op) -> o.Elab.name) stuck)))))
   in
-  let op_by_id id = Option.get (Dp.find_operator dp id) in
   (* Evaluation closure per combinational unit. *)
-  let eval_of id =
-    let op = op_by_id id in
-    let out port = Hashtbl.find cells (op.Dp.id ^ "." ^ port) in
-    let width = op.Dp.width in
+  let eval_of (o : Elab.op) =
+    let width = o.Elab.width and params = o.Elab.params and y = out o in
     let unary f =
-      let a = input_cell op "a" and y = out "y" in
+      let a = input_cell o "a" in
       fun () -> y := f !a
     in
     let binary f =
-      let a = input_cell op "a" and b = input_cell op "b" and y = out "y" in
+      let a = input_cell o "a" and b = input_cell o "b" in
       fun () -> y := f !a !b
     in
-    match kind_of op with
+    match o.Elab.kind with
     | Const ->
-        let v =
-          Bitvec.create ~width (Opspec.require_int op.Dp.params ~kind:"const" "value")
-        in
-        let y = out "y" in
+        let v = Bitvec.create ~width (Opspec.require_int params ~kind:"const" "value") in
         fun () -> y := v
     | Zext -> unary (fun a -> Bitvec.resize a width)
     | Sext -> unary (fun a -> Bitvec.sresize a width)
@@ -170,53 +83,50 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
     | Bin b -> binary (Opkind.bin_bitvec b)
     | Cmp c -> binary (Opkind.cmp_bitvec c)
     | Mux ->
-        let n = Opspec.param_int op.Dp.params "inputs" ~default:2 in
-        let ins = Array.init n (fun i -> input_cell op (Printf.sprintf "in%d" i)) in
-        let sel = input_cell op "sel" and y = out "y" in
+        let n = Opspec.param_int params "inputs" ~default:2 in
+        let ins = Array.init n (fun i -> input_cell o (Printf.sprintf "in%d" i)) in
+        let sel = input_cell o "sel" in
         fun () -> y := !(ins.(min (Bitvec.to_int !sel) (n - 1)))
     | Sram | Rom ->
         let memory =
-          memories (Opspec.require_string op.Dp.params ~kind:op.Dp.kind "memory")
+          memories
+            (Opspec.require_string params ~kind:(Opkind.to_string o.Elab.kind) "memory")
         in
-        let addr = input_cell op "addr" and dout = out "dout" in
-        fun () -> dout := Memory.read memory (Bitvec.to_int !addr)
+        let addr = input_cell o "addr" in
+        fun () -> y := Memory.read memory (Bitvec.to_int !addr)
     | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
   in
   (* Fault injection: corrupt a unit's output cell right after it
      evaluates, so downstream units (later in topo order) consume the
      corrupted value — the same commit-point the event kernel corrupts. *)
-  let wrap_output id base =
-    let op = op_by_id id in
-    let out_port = match kind_of op with Sram | Rom -> "dout" | _ -> "y" in
-    let key = op.Dp.id ^ "." ^ out_port in
-    match corrupt key with
+  let wrap_output o base =
+    match corrupt (out_key o) with
     | None -> base
     | Some f ->
-        let cell = Hashtbl.find cells key in
+        let cell = out o in
         fun () ->
           base ();
           cell := f !cell
   in
-  let comb = Array.of_list (List.map (fun id -> wrap_output id (eval_of id)) order) in
+  let comb = Array.of_list (List.map (fun o -> wrap_output o (eval_of o)) order) in
   (* Sequential elements: two-phase latch. *)
   let latches = ref [] and commits = ref [] in
   let t_ref = ref None in
   List.iter
-    (fun (op : Dp.operator) ->
-      let out port = Hashtbl.find cells (op.Dp.id ^ "." ^ port) in
+    (fun (o : Elab.op) ->
+      let width = o.Elab.width and params = o.Elab.params in
       (* Same commit-point corruption for the state-holding outputs. *)
-      let corrupt_q = corrupt (op.Dp.id ^ ".q") in
+      let corrupt_q = corrupt (o.Elab.name ^ ".q") in
       let commit_q q pending =
         match corrupt_q with
         | None -> fun () -> q := !pending
         | Some f -> fun () -> q := f !pending
       in
-      match kind_of op with
+      match o.Elab.kind with
       | Reg ->
-          let d = input_cell op "d" and en = input_cell op "en" in
-          let q = out "q" in
-          q := Bitvec.create ~width:op.Dp.width
-                 (Opspec.param_int op.Dp.params "init" ~default:0);
+          let d = input_cell o "d" and en = input_cell o "en" in
+          let q = out o in
+          q := Bitvec.create ~width (Opspec.param_int params "init" ~default:0);
           (match corrupt_q with Some f -> q := f !q | None -> ());
           let pending = ref !q in
           latches :=
@@ -224,15 +134,12 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
             :: !latches;
           commits := commit_q q pending :: !commits
       | Counter ->
-          let en = input_cell op "en"
-          and load = input_cell op "load"
-          and d = input_cell op "d" in
-          let q = out "q" in
+          let en = input_cell o "en"
+          and load = input_cell o "load"
+          and d = input_cell o "d" in
+          let q = out o in
           (match corrupt_q with Some f -> q := f !q | None -> ());
-          let step =
-            Bitvec.create ~width:op.Dp.width
-              (Opspec.param_int op.Dp.params "step" ~default:1)
-          in
+          let step = Bitvec.create ~width (Opspec.param_int params "step" ~default:1) in
           let pending = ref !q in
           latches :=
             (fun () ->
@@ -243,12 +150,10 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
             :: !latches;
           commits := commit_q q pending :: !commits
       | Sram ->
-          let memory =
-            memories (Opspec.require_string op.Dp.params ~kind:"sram" "memory")
-          in
-          let addr = input_cell op "addr"
-          and din = input_cell op "din"
-          and we = input_cell op "we" in
+          let memory = memories (Opspec.require_string params ~kind:"sram" "memory") in
+          let addr = input_cell o "addr"
+          and din = input_cell o "din"
+          and we = input_cell o "we" in
           (* Memory writes commit after all register reads of this cycle
              already happened during the comb phase, so direct commit is
              safe. *)
@@ -258,10 +163,9 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
                 Memory.write memory (Bitvec.to_int !addr) !din)
             :: !commits
       | Check ->
-          let a = input_cell op "a" and en = input_cell op "en" in
+          let a = input_cell o "a" and en = input_cell o "en" in
           let expect =
-            Bitvec.create ~width:op.Dp.width
-              (Opspec.require_int op.Dp.params ~kind:"check" "value")
+            Bitvec.create ~width (Opspec.require_int params ~kind:"check" "value")
           in
           latches :=
             (fun () ->
@@ -271,7 +175,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
                 | None -> ())
             :: !latches
       | Stop ->
-          let en = input_cell op "en" in
+          let en = input_cell o "en" in
           latches :=
             (fun () ->
               if Bitvec.to_bool !en then
@@ -279,8 +183,8 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
                 | Some t -> t.stop_fired <- true
                 | None -> ())
             :: !latches
-      | _ -> ())
-    dp.Dp.operators;
+      | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Rom | Probe -> ())
+    (Elab.ops e);
   (* FSM wiring: controls driven from the Moore decode, statuses read from
      the datapath cells. *)
   let fsm_controls =

@@ -1,4 +1,5 @@
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
@@ -84,7 +85,7 @@ type design = {
 type t = { configs : design array }
 
 let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
-  Dp.validate dp;
+  let e = Elab.of_datapath dp in
   Fsm.validate fsm;
   let index : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let widths = ref [] in
@@ -97,40 +98,24 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
     id
   in
   List.iter
-    (fun (op : Dp.operator) ->
+    (fun (o : Elab.op) ->
       List.iter
         (fun (p : Opspec.port) ->
           if p.Opspec.direction = Opspec.Out then
-            ignore
-              (add_cell (op.Dp.id ^ "." ^ p.Opspec.port_name) p.Opspec.port_width))
-        (Dp.operator_spec op).Opspec.ports)
-    dp.Dp.operators;
+            ignore (add_cell (Elab.endpoint o p) p.Opspec.port_width))
+        o.Elab.spec.Opspec.ports)
+    (Elab.ops e);
   let n_ports = !n_cells in
   List.iter
     (fun (c : Dp.control) ->
       ignore (add_cell ("ctl." ^ c.Dp.ctl_name) c.Dp.ctl_width))
     dp.Dp.controls;
-  (* Input port -> driving cell, via the unique net sinking into it. *)
-  let driver : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Dp.net) ->
-      let src =
-        match n.Dp.source with
-        | Dp.From_op ep -> Hashtbl.find index (Dp.endpoint_to_string ep)
-        | Dp.From_control name -> Hashtbl.find index ("ctl." ^ name)
-      in
-      List.iter
-        (fun ep -> Hashtbl.replace driver (Dp.endpoint_to_string ep) src)
-        n.Dp.sinks)
-    dp.Dp.nets;
-  let in_cell (op : Dp.operator) port =
-    match Hashtbl.find_opt driver (op.Dp.id ^ "." ^ port) with
-    | Some c -> c
-    | None -> failwith ("fastsim: no signal for port " ^ op.Dp.id ^ "." ^ port)
+  let in_cell o port =
+    match Elab.driver o port with
+    | Elab.Op_out (src, p) -> Hashtbl.find index (Elab.endpoint src p)
+    | Elab.Ctl c -> Hashtbl.find index ("ctl." ^ c.Dp.ctl_name)
   in
-  let out_cell (op : Dp.operator) port =
-    Hashtbl.find index (op.Dp.id ^ "." ^ port)
-  in
+  let out_cell o = Hashtbl.find index (Elab.endpoint o (Elab.out_port o)) in
   let mems = ref [] and n_mems = ref 0 in
   let mem_slot name =
     let rec find i = function
@@ -157,19 +142,19 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
       inputs
   in
   List.iter
-    (fun (op : Dp.operator) ->
-      let kind = op.Dp.kind in
-      let width = op.Dp.width in
-      let params = op.Dp.params in
+    (fun (op : Elab.op) ->
+      let kind = Opkind.to_string op.Elab.kind in
+      let width = op.Elab.width in
+      let params = op.Elab.params in
       let unary f =
         let a = in_cell op "a" in
-        add_comb (Cun { f; a; y = out_cell op "y" }) [ a ]
+        add_comb (Cun { f; a; y = out_cell op }) [ a ]
       in
       let binary f =
         let a = in_cell op "a" and b = in_cell op "b" in
-        add_comb (Cbin { f; a; b; y = out_cell op "y" }) [ a; b ]
+        add_comb (Cbin { f; a; b; y = out_cell op }) [ a; b ]
       in
-      match (Dp.operator_spec op).Opspec.kind with
+      match op.Elab.kind with
       | Bin o -> binary (Opkind.bin_int ~width o)
       | Cmp o -> binary (Opkind.cmp_int ~width o)
       | Un o -> unary (Opkind.un_int ~width o)
@@ -178,7 +163,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
             (Cconst
                {
                  v = Opspec.require_int params ~kind "value" land Opkind.mask width;
-                 y = out_cell op "y";
+                 y = out_cell op;
                })
             []
       | Zext ->
@@ -193,11 +178,11 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
           let ins = Array.init n (fun i -> in_cell op (Printf.sprintf "in%d" i)) in
           let sel = in_cell op "sel" in
           add_comb
-            (Cmux { ins; sel; y = out_cell op "y" })
+            (Cmux { ins; sel; y = out_cell op })
             (sel :: Array.to_list ins)
       | Reg ->
           let init = Opspec.param_int params "init" ~default:0 in
-          let q = out_cell op "q" in
+          let q = out_cell op in
           reg_inits := (q, init land Opkind.mask width) :: !reg_inits;
           edge := Ereg { d = in_cell op "d"; en = in_cell op "en"; q } :: !edge
       | Counter ->
@@ -207,7 +192,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
                 en = in_cell op "en";
                 load = in_cell op "load";
                 d = in_cell op "d";
-                q = out_cell op "q";
+                q = out_cell op;
                 step = Opspec.param_int params "step" ~default:1 land Opkind.mask width;
                 m = Opkind.mask width;
               }
@@ -215,7 +200,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
       | Sram ->
           let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
           let addr = in_cell op "addr" in
-          let dout = out_cell op "dout" in
+          let dout = out_cell op in
           (* Read process first, write process second — the event
              engine's creation order for the same instance. *)
           add_comb (Cmemrd { mslot; addr; dout }) [ addr ];
@@ -232,7 +217,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
       | Rom ->
           let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
           let addr = in_cell op "addr" in
-          add_comb (Cmemrd { mslot; addr; dout = out_cell op "dout" }) [ addr ]
+          add_comb (Cmemrd { mslot; addr; dout = out_cell op }) [ addr ]
       | Probe ->
           (* Probe samples are notifications only; nothing the campaign
              verdicts observe. *)
@@ -251,7 +236,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
       | Stop ->
           let en = in_cell op "en" in
           add_comb (Cstop { en }) [ en ])
-    dp.Dp.operators;
+    (Elab.ops e);
   (* fsm-init runs after every operator process, like its pid does. *)
   add_comb Cfsminit [];
   let statuses =
@@ -380,65 +365,9 @@ let compile (compiled : Compile.t) =
 
 (* --- admission --------------------------------------------------------- *)
 
-(* Mirror of {!Cyclesim}'s dependency construction: combinational units
-   only, sequential q outputs break the chains. *)
+(* The dependency order {!Cyclesim} evaluates in exists. *)
 let globally_acyclic (dp : Dp.t) =
-  let comb_ops =
-    List.filter
-      (fun op -> Opkind.is_comb (Dp.operator_spec op).Opspec.kind)
-      dp.Dp.operators
-  in
-  let comb_ids = List.map (fun (op : Dp.operator) -> op.Dp.id) comb_ops in
-  let driver : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Dp.net) ->
-      match n.Dp.source with
-      | Dp.From_op ep ->
-          List.iter
-            (fun sink ->
-              Hashtbl.replace driver (Dp.endpoint_to_string sink) ep.Dp.inst)
-            n.Dp.sinks
-      | Dp.From_control _ -> ())
-    dp.Dp.nets;
-  let deps (op : Dp.operator) =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (p : Opspec.port) ->
-           if p.Opspec.direction = Opspec.In then
-             match Hashtbl.find_opt driver (op.Dp.id ^ "." ^ p.Opspec.port_name) with
-             | Some inst when List.mem inst comb_ids && inst <> op.Dp.id -> Some inst
-             | Some _ | None -> None
-           else None)
-         (Dp.operator_spec op).Opspec.ports)
-  in
-  let indeg = Hashtbl.create 64 in
-  let succs = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace indeg id 0) comb_ids;
-  List.iter
-    (fun (op : Dp.operator) ->
-      List.iter
-        (fun dep ->
-          Hashtbl.replace succs dep
-            (op.Dp.id :: Option.value ~default:[] (Hashtbl.find_opt succs dep));
-          Hashtbl.replace indeg op.Dp.id (1 + Hashtbl.find indeg op.Dp.id))
-        (deps op))
-    comb_ops;
-  let ready = ref (List.filter (fun id -> Hashtbl.find indeg id = 0) comb_ids) in
-  let removed = ref 0 in
-  while !ready <> [] do
-    match !ready with
-    | [] -> ()
-    | id :: rest ->
-        ready := rest;
-        incr removed;
-        List.iter
-          (fun s ->
-            let d = Hashtbl.find indeg s - 1 in
-            Hashtbl.replace indeg s d;
-            if d = 0 then ready := s :: !ready)
-          (Option.value ~default:[] (Hashtbl.find_opt succs id))
-  done;
-  !removed = List.length comb_ids
+  snd (Elab.levelize (Elab.of_datapath dp) ~deps:Elab.comb_preds) = []
 
 let admissible (compiled : Compile.t) =
   let check_partition (p : Compile.partition) =

@@ -44,8 +44,9 @@ val compile : Compiler.Compile.t -> t
 
 val admissible : Compiler.Compile.t -> (unit, string) result
 (** Whether [auto] backend selection may use the compiled path: every
-    partition's combinational network is either globally acyclic (Kahn)
-    or all its structural cycles carry an AI007 [Proved_acyclic] verdict
+    partition's combinational network is either globally acyclic
+    ({!Netlist.Elab.levelize} leaves nothing stuck) or all its
+    structural cycles carry an AI007 [Proved_acyclic] verdict
     from {!Absint}. Designs with [Dynamic_cycle] or [Unresolved]
     components keep the event-driven interpreter, whose delta-overflow
     diagnostics the campaign report format depends on. *)

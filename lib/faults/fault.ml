@@ -144,9 +144,10 @@ let port_sites compiled =
       let cfg = cfg_of_partition compiled p in
       List.concat_map
         (fun (op : Dp.operator) ->
+          let spec = Dp.operator_spec op in
           (* Test aids observe the design; corrupting them would mutate the
              verifier, not the hardware under test. *)
-          if List.mem op.Dp.kind [ "probe"; "check"; "stop" ] then []
+          if Operators.Opkind.is_test_aid spec.Opspec.kind then []
           else
             List.filter_map
               (fun (port : Opspec.port) ->
@@ -159,7 +160,7 @@ let port_sites compiled =
                          width = port.Opspec.port_width;
                        })
                 else None)
-              (Dp.operator_spec op).Opspec.ports)
+              spec.Opspec.ports)
         p.Compile.datapath.Dp.operators)
     compiled.Compile.partitions
 

@@ -1,4 +1,5 @@
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
@@ -9,26 +10,13 @@ let utype w = Printf.sprintf "sc_uint<%d>" w
 let stype w = Printf.sprintf "sc_int<%d>" w
 
 let datapath (dp : Dp.t) =
-  Dp.validate dp;
+  let e = Elab.of_datapath dp in
   let buf = Buffer.create 8192 in
   let out fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  let driver = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Dp.net) ->
-      let src =
-        match n.Dp.source with
-        | Dp.From_op ep -> sig_name ep.Dp.inst ep.Dp.port ^ ".read()"
-        | Dp.From_control name -> "ctl_" ^ sanitize name ^ ".read()"
-      in
-      List.iter
-        (fun (ep : Dp.endpoint) ->
-          Hashtbl.replace driver (Dp.endpoint_to_string ep) src)
-        n.Dp.sinks)
-    dp.Dp.nets;
   let input_of op port =
-    match Hashtbl.find_opt driver (op.Dp.id ^ "." ^ port) with
-    | Some s -> s
-    | None -> "0"
+    match Elab.driver op port with
+    | Elab.Op_out (src, p) -> sig_name src.Elab.name p.Opspec.port_name ^ ".read()"
+    | Elab.Ctl c -> "ctl_" ^ sanitize c.Dp.ctl_name ^ ".read()"
   in
   let name = sanitize dp.Dp.dp_name in
   out "// Datapath %S -- generated by fpgatest; do not edit." dp.Dp.dp_name;
@@ -50,86 +38,87 @@ let datapath (dp : Dp.t) =
   (* Internal signals for operator outputs; member storage for memories
      and registers. *)
   List.iter
-    (fun (op : Dp.operator) ->
+    (fun (op : Elab.op) ->
       List.iter
         (fun (p : Opspec.port) ->
           if p.Opspec.direction = Opspec.Out then
             out "  sc_signal<%s> %s;" (utype p.Opspec.port_width)
-              (sig_name op.Dp.id p.Opspec.port_name))
-        (Dp.operator_spec op).Opspec.ports;
-      match op.Dp.kind with
-      | "reg" | "counter" ->
-          out "  %s %s_state;" (utype op.Dp.width) (sanitize op.Dp.id)
-      | "sram" | "rom" ->
-          let size = Opspec.param_int op.Dp.params "size" ~default:1024 in
-          out "  %s mem_%s[%d];" (utype op.Dp.width) (sanitize op.Dp.id) size
-      | _ -> ())
-    dp.Dp.operators;
+              (sig_name op.Elab.name p.Opspec.port_name))
+        op.Elab.spec.Opspec.ports;
+      match op.Elab.kind with
+      | Reg | Counter ->
+          out "  %s %s_state;" (utype op.Elab.width) (sanitize op.Elab.name)
+      | Sram | Rom ->
+          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
+          out "  %s mem_%s[%d];" (utype op.Elab.width) (sanitize op.Elab.name) size
+      | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Probe | Check | Stop ->
+          ())
+    (Elab.ops e);
   out "";
   (* Combinational method. *)
   out "  void comb() {";
   List.iter
-    (fun (op : Dp.operator) ->
-      let y = sig_name op.Dp.id "y" in
+    (fun (op : Elab.op) ->
+      let y = sig_name op.Elab.name "y" in
       let a () = input_of op "a" in
       let b () = input_of op "b" in
-      let width = op.Dp.width in
+      let width = op.Elab.width in
       let signed v = Printf.sprintf "(%s)%s" (stype width) v in
       let wr target expr = out "    %s.write(%s);" target expr in
       let bool_out expr = wr y (Printf.sprintf "(%s) ? 1 : 0" expr) in
-      match op.Dp.kind with
-      | "add" -> wr y (Printf.sprintf "%s + %s" (a ()) (b ()))
-      | "sub" -> wr y (Printf.sprintf "%s - %s" (a ()) (b ()))
-      | "mul" -> wr y (Printf.sprintf "%s * %s" (a ()) (b ()))
-      | "divu" ->
+      match op.Elab.kind with
+      | Bin Add -> wr y (Printf.sprintf "%s + %s" (a ()) (b ()))
+      | Bin Sub -> wr y (Printf.sprintf "%s - %s" (a ()) (b ()))
+      | Bin Mul -> wr y (Printf.sprintf "%s * %s" (a ()) (b ()))
+      | Bin Divu ->
           wr y (Printf.sprintf "(%s == 0) ? (%s)(-1) : %s / %s" (b ())
                   (utype width) (a ()) (b ()))
-      | "remu" ->
+      | Bin Remu ->
           wr y (Printf.sprintf "(%s == 0) ? %s : %s %% %s" (b ()) (a ()) (a ()) (b ()))
-      | "divs" ->
+      | Bin Divs ->
           wr y (Printf.sprintf "(%s == 0) ? (%s)(-1) : (%s)(%s / %s)" (b ())
                   (utype width) (utype width) (signed (a ())) (signed (b ())))
-      | "rems" ->
+      | Bin Rems ->
           wr y (Printf.sprintf "(%s == 0) ? %s : (%s)(%s %% %s)" (b ()) (a ())
                   (utype width) (signed (a ())) (signed (b ())))
-      | "and" -> wr y (Printf.sprintf "%s & %s" (a ()) (b ()))
-      | "or" -> wr y (Printf.sprintf "%s | %s" (a ()) (b ()))
-      | "xor" -> wr y (Printf.sprintf "%s ^ %s" (a ()) (b ()))
-      | "shl" -> wr y (Printf.sprintf "%s << %s" (a ()) (b ()))
-      | "shrl" -> wr y (Printf.sprintf "%s >> %s" (a ()) (b ()))
-      | "shra" -> wr y (Printf.sprintf "(%s)(%s >> %s)" (utype width) (signed (a ())) (b ()))
-      | "eq" -> bool_out (Printf.sprintf "%s == %s" (a ()) (b ()))
-      | "ne" -> bool_out (Printf.sprintf "%s != %s" (a ()) (b ()))
-      | "ltu" -> bool_out (Printf.sprintf "%s < %s" (a ()) (b ()))
-      | "leu" -> bool_out (Printf.sprintf "%s <= %s" (a ()) (b ()))
-      | "gtu" -> bool_out (Printf.sprintf "%s > %s" (a ()) (b ()))
-      | "geu" -> bool_out (Printf.sprintf "%s >= %s" (a ()) (b ()))
-      | "lts" -> bool_out (Printf.sprintf "%s < %s" (signed (a ())) (signed (b ())))
-      | "les" -> bool_out (Printf.sprintf "%s <= %s" (signed (a ())) (signed (b ())))
-      | "gts" -> bool_out (Printf.sprintf "%s > %s" (signed (a ())) (signed (b ())))
-      | "ges" -> bool_out (Printf.sprintf "%s >= %s" (signed (a ())) (signed (b ())))
-      | "minu" -> wr y (Printf.sprintf "(%s <= %s) ? %s : %s" (a ()) (b ()) (a ()) (b ()))
-      | "maxu" -> wr y (Printf.sprintf "(%s >= %s) ? %s : %s" (a ()) (b ()) (a ()) (b ()))
-      | "mins" ->
+      | Bin And -> wr y (Printf.sprintf "%s & %s" (a ()) (b ()))
+      | Bin Or -> wr y (Printf.sprintf "%s | %s" (a ()) (b ()))
+      | Bin Xor -> wr y (Printf.sprintf "%s ^ %s" (a ()) (b ()))
+      | Bin Shl -> wr y (Printf.sprintf "%s << %s" (a ()) (b ()))
+      | Bin Shrl -> wr y (Printf.sprintf "%s >> %s" (a ()) (b ()))
+      | Bin Shra -> wr y (Printf.sprintf "(%s)(%s >> %s)" (utype width) (signed (a ())) (b ()))
+      | Cmp Eq -> bool_out (Printf.sprintf "%s == %s" (a ()) (b ()))
+      | Cmp Ne -> bool_out (Printf.sprintf "%s != %s" (a ()) (b ()))
+      | Cmp Ltu -> bool_out (Printf.sprintf "%s < %s" (a ()) (b ()))
+      | Cmp Leu -> bool_out (Printf.sprintf "%s <= %s" (a ()) (b ()))
+      | Cmp Gtu -> bool_out (Printf.sprintf "%s > %s" (a ()) (b ()))
+      | Cmp Geu -> bool_out (Printf.sprintf "%s >= %s" (a ()) (b ()))
+      | Cmp Lts -> bool_out (Printf.sprintf "%s < %s" (signed (a ())) (signed (b ())))
+      | Cmp Les -> bool_out (Printf.sprintf "%s <= %s" (signed (a ())) (signed (b ())))
+      | Cmp Gts -> bool_out (Printf.sprintf "%s > %s" (signed (a ())) (signed (b ())))
+      | Cmp Ges -> bool_out (Printf.sprintf "%s >= %s" (signed (a ())) (signed (b ())))
+      | Bin Minu -> wr y (Printf.sprintf "(%s <= %s) ? %s : %s" (a ()) (b ()) (a ()) (b ()))
+      | Bin Maxu -> wr y (Printf.sprintf "(%s >= %s) ? %s : %s" (a ()) (b ()) (a ()) (b ()))
+      | Bin Mins ->
           wr y (Printf.sprintf "(%s <= %s) ? %s : %s" (signed (a ())) (signed (b ())) (a ()) (b ()))
-      | "maxs" ->
+      | Bin Maxs ->
           wr y (Printf.sprintf "(%s >= %s) ? %s : %s" (signed (a ())) (signed (b ())) (a ()) (b ()))
-      | "abs" ->
+      | Un Abs ->
           wr y (Printf.sprintf "(%s < 0) ? (%s)(-%s) : %s" (signed (a ()))
                   (utype width) (signed (a ())) (a ()))
-      | "not" -> wr y (Printf.sprintf "~%s" (a ()))
-      | "neg" -> wr y (Printf.sprintf "(%s)(-%s)" (utype width) (a ()))
-      | "pass" -> wr y (a ())
-      | "const" ->
-          let v = Opspec.require_int op.Dp.params ~kind:"const" "value" in
+      | Un Not -> wr y (Printf.sprintf "~%s" (a ()))
+      | Un Neg -> wr y (Printf.sprintf "(%s)(-%s)" (utype width) (a ()))
+      | Un Pass -> wr y (a ())
+      | Const ->
+          let v = Opspec.require_int op.Elab.params ~kind:"const" "value" in
           wr y (string_of_int (v land ((1 lsl width) - 1)))
-      | "zext" -> wr y (Printf.sprintf "(%s)%s" (utype width) (a ()))
-      | "sext" ->
-          let from = Opspec.require_int op.Dp.params ~kind:"sext" "from" in
+      | Zext -> wr y (Printf.sprintf "(%s)%s" (utype width) (a ()))
+      | Sext ->
+          let from = Opspec.require_int op.Elab.params ~kind:"sext" "from" in
           wr y (Printf.sprintf "(%s)(%s)(%s)%s" (utype width) (stype width)
                   (stype from) (a ()))
-      | "mux" ->
-          let n = Opspec.param_int op.Dp.params "inputs" ~default:2 in
+      | Mux ->
+          let n = Opspec.param_int op.Elab.params "inputs" ~default:2 in
           out "    switch ((int)%s) {" (input_of op "sel");
           for i = 0 to n - 1 do
             if i = n - 1 then
@@ -140,14 +129,13 @@ let datapath (dp : Dp.t) =
                 (input_of op (Printf.sprintf "in%d" i))
           done;
           out "    }"
-      | "sram" | "rom" ->
+      | Sram | Rom ->
           out "    %s.write(mem_%s[(int)%s]);"
-            (sig_name op.Dp.id "dout") (sanitize op.Dp.id) (input_of op "addr")
-      | "reg" | "counter" ->
-          out "    %s.write(%s_state);" (sig_name op.Dp.id "q") (sanitize op.Dp.id)
-      | "probe" | "check" | "stop" -> ()
-      | kind -> out "    // unsupported operator kind %S" kind)
-    dp.Dp.operators;
+            (sig_name op.Elab.name "dout") (sanitize op.Elab.name) (input_of op "addr")
+      | Reg | Counter ->
+          out "    %s.write(%s_state);" (sig_name op.Elab.name "q") (sanitize op.Elab.name)
+      | Probe | Check | Stop -> ())
+    (Elab.ops e);
   List.iter
     (fun (st : Dp.status) ->
       out "    st_%s.write(%s.read());" (sanitize st.Dp.st_name)
@@ -158,29 +146,29 @@ let datapath (dp : Dp.t) =
   (* Sequential method (rising edge). *)
   out "  void seq() {";
   List.iter
-    (fun (op : Dp.operator) ->
-      let id = sanitize op.Dp.id in
-      match op.Dp.kind with
-      | "reg" ->
+    (fun (op : Elab.op) ->
+      let id = sanitize op.Elab.name in
+      match op.Elab.kind with
+      | Reg ->
           out "    if (%s == 1) %s_state = %s;" (input_of op "en") id
             (input_of op "d")
-      | "counter" ->
-          let step = Opspec.param_int op.Dp.params "step" ~default:1 in
+      | Counter ->
+          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
           out "    if (%s == 1) %s_state = %s;" (input_of op "load") id
             (input_of op "d");
           out "    else if (%s == 1) %s_state = %s_state + %d;"
             (input_of op "en") id id step
-      | "sram" ->
+      | Sram ->
           out "    if (%s == 1) mem_%s[(int)%s] = %s;" (input_of op "we") id
             (input_of op "addr") (input_of op "din")
-      | "check" ->
-          let v = Opspec.require_int op.Dp.params ~kind:"check" "value" in
+      | Check ->
+          let v = Opspec.require_int op.Elab.params ~kind:"check" "value" in
           out "    if (%s == 1 && %s != %d)" (input_of op "en") (input_of op "a") v;
           out "      std::cout << \"check %s FAILED at \" << sc_time_stamp() << std::endl;" id
-      | "stop" ->
+      | Stop ->
           out "    if (%s == 1) sc_stop();" (input_of op "en")
-      | _ -> ())
-    dp.Dp.operators;
+      | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Rom | Probe -> ())
+    (Elab.ops e);
   out "  }";
   out "";
   out "  SC_CTOR(%s) {" name;
@@ -188,14 +176,14 @@ let datapath (dp : Dp.t) =
   let sens =
     List.map (fun (c : Dp.control) -> "ctl_" ^ sanitize c.Dp.ctl_name) dp.Dp.controls
     @ List.concat_map
-        (fun (op : Dp.operator) ->
+        (fun (op : Elab.op) ->
           List.filter_map
             (fun (p : Opspec.port) ->
               if p.Opspec.direction = Opspec.Out then
-                Some (sig_name op.Dp.id p.Opspec.port_name)
+                Some (sig_name op.Elab.name p.Opspec.port_name)
               else None)
-            (Dp.operator_spec op).Opspec.ports)
-        dp.Dp.operators
+            op.Elab.spec.Opspec.ports)
+        (Elab.ops e)
   in
   (match sens with
   | [] -> ()

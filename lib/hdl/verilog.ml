@@ -1,4 +1,5 @@
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
@@ -21,28 +22,13 @@ let port_wire inst port = Printf.sprintf "w_%s_%s" (sanitize inst) (sanitize por
 let all_ones w = Printf.sprintf "{%d{1'b1}}" w
 
 let datapath (dp : Dp.t) =
-  Dp.validate dp;
+  let e = Elab.of_datapath dp in
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  (* Input port -> driving expression (wire of the source endpoint or a
-     control input). *)
-  let driver = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Dp.net) ->
-      let src =
-        match n.Dp.source with
-        | Dp.From_op ep -> port_wire ep.Dp.inst ep.Dp.port
-        | Dp.From_control name -> "ctl_" ^ sanitize name
-      in
-      List.iter
-        (fun (ep : Dp.endpoint) ->
-          Hashtbl.replace driver (Dp.endpoint_to_string ep) src)
-        n.Dp.sinks)
-    dp.Dp.nets;
   let input_of op port =
-    match Hashtbl.find_opt driver (op.Dp.id ^ "." ^ port) with
-    | Some w -> w
-    | None -> "1'b0" (* validated datapaths never reach this *)
+    match Elab.driver op port with
+    | Elab.Op_out (src, p) -> port_wire src.Elab.name p.Opspec.port_name
+    | Elab.Ctl c -> "ctl_" ^ sanitize c.Dp.ctl_name
   in
   let ports =
     [ "input wire clk" ]
@@ -65,90 +51,88 @@ let datapath (dp : Dp.t) =
   out "";
   (* Wire declarations for every operator output port. *)
   List.iter
-    (fun (op : Dp.operator) ->
-      let spec = Dp.operator_spec op in
+    (fun (op : Elab.op) ->
+      let spec = op.Elab.spec in
       List.iter
         (fun (p : Opspec.port) ->
           if p.Opspec.direction = Opspec.Out then
             let kw =
               (* Mux outputs are procedurally assigned. *)
-              if op.Dp.kind = "mux" then "reg" else "wire"
+              if op.Elab.kind = Mux then "reg" else "wire"
             in
             out "  %s %s%s;" kw (range p.Opspec.port_width)
-              (port_wire op.Dp.id p.Opspec.port_name))
+              (port_wire op.Elab.name p.Opspec.port_name))
         spec.Opspec.ports)
-    dp.Dp.operators;
+    (Elab.ops e);
   out "";
-  let w = range in
-  ignore w;
   List.iter
-    (fun (op : Dp.operator) ->
-      let id = sanitize op.Dp.id in
-      let y = port_wire op.Dp.id "y" in
+    (fun (op : Elab.op) ->
+      let id = sanitize op.Elab.name in
+      let y = port_wire op.Elab.name "y" in
       let a () = input_of op "a" in
       let b () = input_of op "b" in
-      let width = op.Dp.width in
+      let width = op.Elab.width in
       let signed2 fmt = Printf.sprintf fmt (a ()) (b ()) in
-      match op.Dp.kind with
-      | "add" -> out "  assign %s = %s + %s;" y (a ()) (b ())
-      | "sub" -> out "  assign %s = %s - %s;" y (a ()) (b ())
-      | "mul" -> out "  assign %s = %s * %s;" y (a ()) (b ())
-      | "divu" ->
+      match op.Elab.kind with
+      | Bin Add -> out "  assign %s = %s + %s;" y (a ()) (b ())
+      | Bin Sub -> out "  assign %s = %s - %s;" y (a ()) (b ())
+      | Bin Mul -> out "  assign %s = %s * %s;" y (a ()) (b ())
+      | Bin Divu ->
           out "  assign %s = (%s == 0) ? %s : %s / %s;" y (b ())
             (all_ones width) (a ()) (b ())
-      | "remu" ->
+      | Bin Remu ->
           out "  assign %s = (%s == 0) ? %s : %s %% %s;" y (b ()) (a ())
             (a ()) (b ())
-      | "divs" ->
+      | Bin Divs ->
           out "  assign %s = (%s == 0) ? %s : $signed(%s) / $signed(%s);" y
             (b ()) (all_ones width) (a ()) (b ())
-      | "rems" ->
+      | Bin Rems ->
           out "  assign %s = (%s == 0) ? %s : $signed(%s) %% $signed(%s);" y
             (b ()) (a ()) (a ()) (b ())
-      | "and" -> out "  assign %s = %s & %s;" y (a ()) (b ())
-      | "or" -> out "  assign %s = %s | %s;" y (a ()) (b ())
-      | "xor" -> out "  assign %s = %s ^ %s;" y (a ()) (b ())
-      | "shl" -> out "  assign %s = %s << %s;" y (a ()) (b ())
-      | "shrl" -> out "  assign %s = %s >> %s;" y (a ()) (b ())
-      | "shra" -> out "  assign %s = $signed(%s) >>> %s;" y (a ()) (b ())
-      | "eq" -> out "  assign %s = (%s == %s);" y (a ()) (b ())
-      | "ne" -> out "  assign %s = (%s != %s);" y (a ()) (b ())
-      | "ltu" -> out "  assign %s = (%s < %s);" y (a ()) (b ())
-      | "leu" -> out "  assign %s = (%s <= %s);" y (a ()) (b ())
-      | "gtu" -> out "  assign %s = (%s > %s);" y (a ()) (b ())
-      | "geu" -> out "  assign %s = (%s >= %s);" y (a ()) (b ())
-      | "lts" -> out "  assign %s = %s;" y (signed2 "($signed(%s) < $signed(%s))")
-      | "les" -> out "  assign %s = %s;" y (signed2 "($signed(%s) <= $signed(%s))")
-      | "gts" -> out "  assign %s = %s;" y (signed2 "($signed(%s) > $signed(%s))")
-      | "ges" -> out "  assign %s = %s;" y (signed2 "($signed(%s) >= $signed(%s))")
-      | "minu" ->
+      | Bin And -> out "  assign %s = %s & %s;" y (a ()) (b ())
+      | Bin Or -> out "  assign %s = %s | %s;" y (a ()) (b ())
+      | Bin Xor -> out "  assign %s = %s ^ %s;" y (a ()) (b ())
+      | Bin Shl -> out "  assign %s = %s << %s;" y (a ()) (b ())
+      | Bin Shrl -> out "  assign %s = %s >> %s;" y (a ()) (b ())
+      | Bin Shra -> out "  assign %s = $signed(%s) >>> %s;" y (a ()) (b ())
+      | Cmp Eq -> out "  assign %s = (%s == %s);" y (a ()) (b ())
+      | Cmp Ne -> out "  assign %s = (%s != %s);" y (a ()) (b ())
+      | Cmp Ltu -> out "  assign %s = (%s < %s);" y (a ()) (b ())
+      | Cmp Leu -> out "  assign %s = (%s <= %s);" y (a ()) (b ())
+      | Cmp Gtu -> out "  assign %s = (%s > %s);" y (a ()) (b ())
+      | Cmp Geu -> out "  assign %s = (%s >= %s);" y (a ()) (b ())
+      | Cmp Lts -> out "  assign %s = %s;" y (signed2 "($signed(%s) < $signed(%s))")
+      | Cmp Les -> out "  assign %s = %s;" y (signed2 "($signed(%s) <= $signed(%s))")
+      | Cmp Gts -> out "  assign %s = %s;" y (signed2 "($signed(%s) > $signed(%s))")
+      | Cmp Ges -> out "  assign %s = %s;" y (signed2 "($signed(%s) >= $signed(%s))")
+      | Bin Minu ->
           out "  assign %s = (%s <= %s) ? %s : %s;" y (a ()) (b ()) (a ()) (b ())
-      | "maxu" ->
+      | Bin Maxu ->
           out "  assign %s = (%s >= %s) ? %s : %s;" y (a ()) (b ()) (a ()) (b ())
-      | "mins" ->
+      | Bin Mins ->
           out "  assign %s = ($signed(%s) <= $signed(%s)) ? %s : %s;" y (a ())
             (b ()) (a ()) (b ())
-      | "maxs" ->
+      | Bin Maxs ->
           out "  assign %s = ($signed(%s) >= $signed(%s)) ? %s : %s;" y (a ())
             (b ()) (a ()) (b ())
-      | "abs" ->
+      | Un Abs ->
           out "  assign %s = %s[%d] ? -%s : %s;" y (a ()) (width - 1) (a ()) (a ())
-      | "not" -> out "  assign %s = ~%s;" y (a ())
-      | "neg" -> out "  assign %s = -%s;" y (a ())
-      | "pass" -> out "  assign %s = %s;" y (a ())
-      | "const" ->
-          let v = Opspec.require_int op.Dp.params ~kind:"const" "value" in
+      | Un Not -> out "  assign %s = ~%s;" y (a ())
+      | Un Neg -> out "  assign %s = -%s;" y (a ())
+      | Un Pass -> out "  assign %s = %s;" y (a ())
+      | Const ->
+          let v = Opspec.require_int op.Elab.params ~kind:"const" "value" in
           let masked = v land ((1 lsl width) - 1) in
           out "  assign %s = %d'd%d;" y width masked
-      | "zext" -> out "  assign %s = %s;" y (a ())
-      | "sext" ->
-          let from = Opspec.require_int op.Dp.params ~kind:"sext" "from" in
+      | Zext -> out "  assign %s = %s;" y (a ())
+      | Sext ->
+          let from = Opspec.require_int op.Elab.params ~kind:"sext" "from" in
           if width > from then
             out "  assign %s = {{%d{%s[%d]}}, %s};" y (width - from) (a ())
               (from - 1) (a ())
           else out "  assign %s = %s;" y (a ())
-      | "mux" ->
-          let n = Opspec.param_int op.Dp.params "inputs" ~default:2 in
+      | Mux ->
+          let n = Opspec.param_int op.Elab.params "inputs" ~default:2 in
           out "  always @* begin";
           out "    case (%s)" (input_of op "sel");
           for i = 0 to n - 1 do
@@ -160,17 +144,17 @@ let datapath (dp : Dp.t) =
           done;
           out "    endcase";
           out "  end"
-      | "reg" ->
-          let q = port_wire op.Dp.id "q" in
-          let init = Opspec.param_int op.Dp.params "init" ~default:0 in
+      | Reg ->
+          let q = port_wire op.Elab.name "q" in
+          let init = Opspec.param_int op.Elab.params "init" ~default:0 in
           out "  reg %s%s_state = %d'd%d;" (range width) id width
             (init land ((1 lsl width) - 1));
           out "  always @(posedge clk) if (%s) %s_state <= %s;"
             (input_of op "en") id (input_of op "d");
           out "  assign %s = %s_state;" q id
-      | "counter" ->
-          let q = port_wire op.Dp.id "q" in
-          let step = Opspec.param_int op.Dp.params "step" ~default:1 in
+      | Counter ->
+          let q = port_wire op.Elab.name "q" in
+          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
           out "  reg %s%s_state = 0;" (range width) id;
           out "  always @(posedge clk)";
           out "    if (%s) %s_state <= %s;" (input_of op "load") id
@@ -178,36 +162,35 @@ let datapath (dp : Dp.t) =
           out "    else if (%s) %s_state <= %s_state + %d;" (input_of op "en")
             id id step;
           out "  assign %s = %s_state;" q id
-      | "sram" ->
-          let size = Opspec.param_int op.Dp.params "size" ~default:1024 in
-          let dout = port_wire op.Dp.id "dout" in
+      | Sram ->
+          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
+          let dout = port_wire op.Elab.name "dout" in
           out "  reg %smem_%s [0:%d];" (range width) id (size - 1);
           out "  assign %s = mem_%s[%s];" dout id (input_of op "addr");
           out "  always @(posedge clk) if (%s) mem_%s[%s] <= %s;"
             (input_of op "we") id (input_of op "addr") (input_of op "din")
-      | "rom" ->
-          let size = Opspec.param_int op.Dp.params "size" ~default:1024 in
-          let dout = port_wire op.Dp.id "dout" in
+      | Rom ->
+          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
+          let dout = port_wire op.Elab.name "dout" in
           out "  reg %srom_%s [0:%d];" (range width) id (size - 1);
           out "  assign %s = rom_%s[%s];" dout id (input_of op "addr")
-      | "probe" ->
+      | Probe ->
           out "`ifndef SYNTHESIS";
           out "  always @(%s) $display(\"probe %s: %%0d (t=%%0t)\", %s);"
             (a ()) id (a ());
           out "`endif"
-      | "check" ->
-          let v = Opspec.require_int op.Dp.params ~kind:"check" "value" in
+      | Check ->
+          let v = Opspec.require_int op.Elab.params ~kind:"check" "value" in
           out "`ifndef SYNTHESIS";
           out "  always @* if (%s && %s != %d)" (input_of op "en") (a ()) v;
           out "    $display(\"check %s FAILED: got %%0d, want %d\", %s);" id v
             (a ());
           out "`endif"
-      | "stop" ->
+      | Stop ->
           out "`ifndef SYNTHESIS";
           out "  always @* if (%s) $finish;" (input_of op "en");
-          out "`endif"
-      | kind -> out "  // unsupported operator kind %S (%s)" kind id)
-    dp.Dp.operators;
+          out "`endif")
+    (Elab.ops e);
   out "";
   List.iter
     (fun (st : Dp.status) ->

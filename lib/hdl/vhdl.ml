@@ -1,4 +1,5 @@
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
@@ -28,27 +29,14 @@ let header buf =
   Buffer.add_string buf "use ieee.numeric_std.all;\n\n"
 
 let datapath (dp : Dp.t) =
-  Dp.validate dp;
+  let e = Elab.of_datapath dp in
   let buf = Buffer.create 8192 in
   let out fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   header buf;
-  let driver = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Dp.net) ->
-      let src =
-        match n.Dp.source with
-        | Dp.From_op ep -> port_sig ep.Dp.inst ep.Dp.port
-        | Dp.From_control name -> "ctl_" ^ sanitize name
-      in
-      List.iter
-        (fun (ep : Dp.endpoint) ->
-          Hashtbl.replace driver (Dp.endpoint_to_string ep) src)
-        n.Dp.sinks)
-    dp.Dp.nets;
   let input_of op port =
-    match Hashtbl.find_opt driver (op.Dp.id ^ "." ^ port) with
-    | Some s -> s
-    | None -> "(others => '0')"
+    match Elab.driver op port with
+    | Elab.Op_out (src, p) -> port_sig src.Elab.name p.Opspec.port_name
+    | Elab.Ctl c -> "ctl_" ^ sanitize c.Dp.ctl_name
   in
   let name = sanitize dp.Dp.dp_name in
   out "-- Datapath %S -- generated by fpgatest; do not edit." dp.Dp.dp_name;
@@ -74,93 +62,95 @@ let datapath (dp : Dp.t) =
   out "architecture rtl of %s is" name;
   (* Signal declarations for operator outputs; array types for memories. *)
   List.iter
-    (fun (op : Dp.operator) ->
-      let spec = Dp.operator_spec op in
+    (fun (op : Elab.op) ->
+      let spec = op.Elab.spec in
       List.iter
         (fun (p : Opspec.port) ->
           if p.Opspec.direction = Opspec.Out then
             out "  signal %s : %s := (others => '0');"
-              (port_sig op.Dp.id p.Opspec.port_name)
+              (port_sig op.Elab.name p.Opspec.port_name)
               (utype p.Opspec.port_width))
         spec.Opspec.ports;
-      match op.Dp.kind with
-      | "sram" | "rom" ->
-          let size = Opspec.param_int op.Dp.params "size" ~default:1024 in
-          out "  type t_mem_%s is array (0 to %d) of %s;" (sanitize op.Dp.id)
-            (size - 1) (utype op.Dp.width);
+      match op.Elab.kind with
+      | Sram | Rom ->
+          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
+          out "  type t_mem_%s is array (0 to %d) of %s;" (sanitize op.Elab.name)
+            (size - 1) (utype op.Elab.width);
           out "  signal mem_%s : t_mem_%s := (others => (others => '0'));"
-            (sanitize op.Dp.id) (sanitize op.Dp.id)
-      | _ -> ())
-    dp.Dp.operators;
+            (sanitize op.Elab.name) (sanitize op.Elab.name)
+      | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Reg | Counter | Probe
+      | Check | Stop ->
+          ())
+    (Elab.ops e);
   out "begin";
   List.iter
-    (fun (op : Dp.operator) ->
-      let id = sanitize op.Dp.id in
-      let y = port_sig op.Dp.id "y" in
+    (fun (op : Elab.op) ->
+      let id = sanitize op.Elab.name in
+      let y = port_sig op.Elab.name "y" in
       let a () = input_of op "a" in
       let b () = input_of op "b" in
-      let width = op.Dp.width in
+      let width = op.Elab.width in
       let bool_out expr = out "  %s <= \"1\" when %s else \"0\";" y expr in
-      match op.Dp.kind with
-      | "add" -> out "  %s <= %s + %s;" y (a ()) (b ())
-      | "sub" -> out "  %s <= %s - %s;" y (a ()) (b ())
-      | "mul" -> out "  %s <= resize(%s * %s, %d);" y (a ()) (b ()) width
-      | "divu" ->
+      match op.Elab.kind with
+      | Bin Add -> out "  %s <= %s + %s;" y (a ()) (b ())
+      | Bin Sub -> out "  %s <= %s - %s;" y (a ()) (b ())
+      | Bin Mul -> out "  %s <= resize(%s * %s, %d);" y (a ()) (b ()) width
+      | Bin Divu ->
           out "  %s <= (others => '1') when %s = 0 else %s / %s;" y (b ())
             (a ()) (b ())
-      | "remu" ->
+      | Bin Remu ->
           out "  %s <= %s when %s = 0 else %s rem %s;" y (a ()) (b ()) (a ())
             (b ())
-      | "divs" ->
+      | Bin Divs ->
           out
             "  %s <= (others => '1') when %s = 0 else unsigned(signed(%s) / signed(%s));"
             y (b ()) (a ()) (b ())
-      | "rems" ->
+      | Bin Rems ->
           out "  %s <= %s when %s = 0 else unsigned(signed(%s) rem signed(%s));"
             y (a ()) (b ()) (a ()) (b ())
-      | "and" -> out "  %s <= %s and %s;" y (a ()) (b ())
-      | "or" -> out "  %s <= %s or %s;" y (a ()) (b ())
-      | "xor" -> out "  %s <= %s xor %s;" y (a ()) (b ())
-      | "shl" ->
+      | Bin And -> out "  %s <= %s and %s;" y (a ()) (b ())
+      | Bin Or -> out "  %s <= %s or %s;" y (a ()) (b ())
+      | Bin Xor -> out "  %s <= %s xor %s;" y (a ()) (b ())
+      | Bin Shl ->
           out "  %s <= shift_left(%s, to_integer(%s));" y (a ()) (b ())
-      | "shrl" ->
+      | Bin Shrl ->
           out "  %s <= shift_right(%s, to_integer(%s));" y (a ()) (b ())
-      | "shra" ->
+      | Bin Shra ->
           out "  %s <= unsigned(shift_right(signed(%s), to_integer(%s)));" y
             (a ()) (b ())
-      | "eq" -> bool_out (Printf.sprintf "%s = %s" (a ()) (b ()))
-      | "ne" -> bool_out (Printf.sprintf "%s /= %s" (a ()) (b ()))
-      | "ltu" -> bool_out (Printf.sprintf "%s < %s" (a ()) (b ()))
-      | "leu" -> bool_out (Printf.sprintf "%s <= %s" (a ()) (b ()))
-      | "gtu" -> bool_out (Printf.sprintf "%s > %s" (a ()) (b ()))
-      | "geu" -> bool_out (Printf.sprintf "%s >= %s" (a ()) (b ()))
-      | "lts" -> bool_out (Printf.sprintf "signed(%s) < signed(%s)" (a ()) (b ()))
-      | "les" -> bool_out (Printf.sprintf "signed(%s) <= signed(%s)" (a ()) (b ()))
-      | "gts" -> bool_out (Printf.sprintf "signed(%s) > signed(%s)" (a ()) (b ()))
-      | "ges" -> bool_out (Printf.sprintf "signed(%s) >= signed(%s)" (a ()) (b ()))
-      | "minu" ->
+      | Cmp Eq -> bool_out (Printf.sprintf "%s = %s" (a ()) (b ()))
+      | Cmp Ne -> bool_out (Printf.sprintf "%s /= %s" (a ()) (b ()))
+      | Cmp Ltu -> bool_out (Printf.sprintf "%s < %s" (a ()) (b ()))
+      | Cmp Leu -> bool_out (Printf.sprintf "%s <= %s" (a ()) (b ()))
+      | Cmp Gtu -> bool_out (Printf.sprintf "%s > %s" (a ()) (b ()))
+      | Cmp Geu -> bool_out (Printf.sprintf "%s >= %s" (a ()) (b ()))
+      | Cmp Lts -> bool_out (Printf.sprintf "signed(%s) < signed(%s)" (a ()) (b ()))
+      | Cmp Les -> bool_out (Printf.sprintf "signed(%s) <= signed(%s)" (a ()) (b ()))
+      | Cmp Gts -> bool_out (Printf.sprintf "signed(%s) > signed(%s)" (a ()) (b ()))
+      | Cmp Ges -> bool_out (Printf.sprintf "signed(%s) >= signed(%s)" (a ()) (b ()))
+      | Bin Minu ->
           out "  %s <= %s when %s <= %s else %s;" y (a ()) (a ()) (b ()) (b ())
-      | "maxu" ->
+      | Bin Maxu ->
           out "  %s <= %s when %s >= %s else %s;" y (a ()) (a ()) (b ()) (b ())
-      | "mins" ->
+      | Bin Mins ->
           out "  %s <= %s when signed(%s) <= signed(%s) else %s;" y (a ())
             (a ()) (b ()) (b ())
-      | "maxs" ->
+      | Bin Maxs ->
           out "  %s <= %s when signed(%s) >= signed(%s) else %s;" y (a ())
             (a ()) (b ()) (b ())
-      | "abs" ->
+      | Un Abs ->
           out "  %s <= unsigned(abs(signed(%s)));" y (a ())
-      | "not" -> out "  %s <= not %s;" y (a ())
-      | "neg" -> out "  %s <= (others => '0') - %s;" y (a ())
-      | "pass" -> out "  %s <= %s;" y (a ())
-      | "const" ->
-          let v = Opspec.require_int op.Dp.params ~kind:"const" "value" in
+      | Un Not -> out "  %s <= not %s;" y (a ())
+      | Un Neg -> out "  %s <= (others => '0') - %s;" y (a ())
+      | Un Pass -> out "  %s <= %s;" y (a ())
+      | Const ->
+          let v = Opspec.require_int op.Elab.params ~kind:"const" "value" in
           out "  %s <= to_unsigned(%d, %d);" y (v land ((1 lsl width) - 1)) width
-      | "zext" -> out "  %s <= resize(%s, %d);" y (a ()) width
-      | "sext" ->
+      | Zext -> out "  %s <= resize(%s, %d);" y (a ()) width
+      | Sext ->
           out "  %s <= unsigned(resize(signed(%s), %d));" y (a ()) width
-      | "mux" ->
-          let n = Opspec.param_int op.Dp.params "inputs" ~default:2 in
+      | Mux ->
+          let n = Opspec.param_int op.Elab.params "inputs" ~default:2 in
           out "  with to_integer(%s) select" (input_of op "sel");
           for i = 0 to n - 1 do
             if i = n - 1 then
@@ -171,16 +161,16 @@ let datapath (dp : Dp.t) =
                 (input_of op (Printf.sprintf "in%d" i))
                 i
           done
-      | "reg" ->
+      | Reg ->
           out "  p_%s : process (clk) begin" id;
           out "    if rising_edge(clk) then";
           out "      if %s = 1 then %s <= %s; end if;" (input_of op "en")
-            (port_sig op.Dp.id "q") (input_of op "d");
+            (port_sig op.Elab.name "q") (input_of op "d");
           out "    end if;";
           out "  end process;"
-      | "counter" ->
-          let step = Opspec.param_int op.Dp.params "step" ~default:1 in
-          let q = port_sig op.Dp.id "q" in
+      | Counter ->
+          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
+          let q = port_sig op.Elab.name "q" in
           out "  p_%s : process (clk) begin" id;
           out "    if rising_edge(clk) then";
           out "      if %s = 1 then %s <= %s;" (input_of op "load") q
@@ -190,8 +180,8 @@ let datapath (dp : Dp.t) =
           out "      end if;";
           out "    end if;";
           out "  end process;"
-      | "sram" ->
-          out "  %s <= mem_%s(to_integer(%s));" (port_sig op.Dp.id "dout") id
+      | Sram ->
+          out "  %s <= mem_%s(to_integer(%s));" (port_sig op.Elab.name "dout") id
             (input_of op "addr");
           out "  p_%s : process (clk) begin" id;
           out "    if rising_edge(clk) then";
@@ -199,24 +189,23 @@ let datapath (dp : Dp.t) =
             (input_of op "we") id (input_of op "addr") (input_of op "din");
           out "    end if;";
           out "  end process;"
-      | "rom" ->
-          out "  %s <= mem_%s(to_integer(%s));" (port_sig op.Dp.id "dout") id
+      | Rom ->
+          out "  %s <= mem_%s(to_integer(%s));" (port_sig op.Elab.name "dout") id
             (input_of op "addr")
-      | "probe" ->
+      | Probe ->
           out "  -- probe %s observes %s (simulation aid)" id (a ())
-      | "check" ->
-          let v = Opspec.require_int op.Dp.params ~kind:"check" "value" in
+      | Check ->
+          let v = Opspec.require_int op.Elab.params ~kind:"check" "value" in
           out "  p_%s : process (%s, %s) begin" id (a ()) (input_of op "en");
           out "    assert not (%s = 1 and %s /= %d)" (input_of op "en") (a ()) v;
           out "      report \"check %s failed\" severity error;" id;
           out "  end process;"
-      | "stop" ->
+      | Stop ->
           out "  p_%s : process (%s) begin" id (input_of op "en");
           out "    assert %s /= 1 report \"stop %s\" severity failure;"
             (input_of op "en") id;
-          out "  end process;"
-      | kind -> out "  -- unsupported operator kind %S (%s)" kind id)
-    dp.Dp.operators;
+          out "  end process;")
+    (Elab.ops e);
   List.iter
     (fun (st : Dp.status) ->
       out "  st_%s <= %s;" (sanitize st.Dp.st_name)

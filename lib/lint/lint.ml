@@ -2,6 +2,8 @@ module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
+module Elab = Netlist.Elab
 
 let guard_space_limit = 1024
 
@@ -20,115 +22,24 @@ let has_errors ds = Diag.errors ds <> []
 (* ------------------------------------------------------------------ *)
 (* Datapath: combinational loops, dead operators, unused controls      *)
 
-(* Operator specs, for structurally clean documents only. *)
-let specs_of dp =
-  let specs = Hashtbl.create 16 in
-  List.iter
-    (fun (op : Dp.operator) ->
-      match Dp.operator_spec op with
-      | spec -> Hashtbl.replace specs op.Dp.id spec
-      | exception Opspec.Spec_error _ -> ())
-    dp.Dp.operators;
-  specs
-
 (* DP013: strongly connected components of the operator graph restricted
-   to combinational operators. Any SCC with more than one member — or a
-   self-loop — would oscillate (or deadlock the zero-delay simulator). *)
-let combinational_loops dp =
-  let specs = specs_of dp in
-  let comb id =
-    match Hashtbl.find_opt specs id with
-    | Some s -> not s.Opspec.sequential
-    | None -> false
-  in
-  let succs = Hashtbl.create 16 in
-  let add_edge u v =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt succs u) in
-    if not (List.mem v cur) then Hashtbl.replace succs u (v :: cur)
-  in
-  List.iter
-    (fun (n : Dp.net) ->
-      match n.Dp.source with
-      | Dp.From_control _ -> ()
-      | Dp.From_op src when comb src.Dp.inst ->
-          List.iter
-            (fun (snk : Dp.endpoint) ->
-              if comb snk.Dp.inst then add_edge src.Dp.inst snk.Dp.inst)
-            n.Dp.sinks
-      | Dp.From_op _ -> ())
-    dp.Dp.nets;
-  (* Tarjan, iterating operators in document order for determinism. *)
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let sccs = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (List.rev (Option.value ~default:[] (Hashtbl.find_opt succs v)));
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let rec pop acc =
-        match !stack with
-        | w :: rest ->
-            stack := rest;
-            Hashtbl.remove on_stack w;
-            if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
-      in
-      sccs := pop [] :: !sccs
-    end
-  in
-  List.iter
-    (fun (op : Dp.operator) ->
-      if comb op.Dp.id && not (Hashtbl.mem index op.Dp.id) then
-        strongconnect op.Dp.id)
-    dp.Dp.operators;
-  let self_loop v =
-    List.mem v (Option.value ~default:[] (Hashtbl.find_opt succs v))
-  in
-  let kind_of id =
-    List.find_opt (fun (op : Dp.operator) -> op.Dp.id = id) dp.Dp.operators
-    |> Option.map (fun (op : Dp.operator) -> op.Dp.kind)
-  in
+   to structurally combinational operators (spec not sequential). Any
+   cyclic component would oscillate (or deadlock the zero-delay
+   simulator). *)
+let combinational_loops e =
+  let structural (o : Elab.op) = not o.Elab.spec.Opspec.sequential in
+  let succs o = List.filter structural (Elab.consumers o) in
   (* A cycle that persists with every mux removed oscillates for sure.
      One broken by muxes may be dynamically acyclic — operator sharing
      routes pooled units through muxes whose selects never close the
      loop in any single FSM state — so it only warns (the levelized
      cycle simulator still refuses such designs). *)
-  let cyclic_without_muxes scc =
-    let members = List.filter (fun v -> kind_of v <> Some "mux") scc in
-    let in_sub v = List.mem v members in
-    let rec dfs path v =
-      List.mem v path
-      || List.exists
-           (fun w -> in_sub w && dfs (v :: path) w)
-           (Option.value ~default:[] (Hashtbl.find_opt succs v))
-    in
-    List.exists (fun v -> dfs [] v) members
-  in
-  List.rev !sccs
-  |> List.filter (fun scc ->
-         match scc with [ v ] -> self_loop v | _ :: _ :: _ -> true | [] -> false)
+  Elab.sccs ~succs (List.filter structural (Elab.ops e))
   |> List.map (fun scc ->
-         let members = List.sort compare scc in
+         let members = List.sort compare (List.map (fun (o : Elab.op) -> o.Elab.name) scc) in
          let loc = Printf.sprintf "operator %s" (List.hd members) in
          let path = String.concat " -> " members in
-         if cyclic_without_muxes scc then
+         if Elab.cyclic_without_muxes ~succs scc then
            Diag.error ~code:"DP013" ~loc
              ~hint:"break the cycle with a clocked operator (reg/counter/sram)"
              "combinational loop through %s" path
@@ -143,53 +54,37 @@ let combinational_loops dp =
 
 (* DP014: operators with no path to an observable effect — a sequential
    operator (register, counter, memory), a status tap, or a test aid. *)
-let test_aid_kinds = [ "probe"; "check"; "stop" ]
-
-let dead_operators dp =
-  let specs = specs_of dp in
-  (* Reverse adjacency: for every net source -> sink, sink maps back to
-     its source; liveness flows backwards from the seeds. *)
-  let preds = Hashtbl.create 16 in
-  let add_pred v u =
-    Hashtbl.replace preds v (u :: Option.value ~default:[] (Hashtbl.find_opt preds v))
-  in
-  List.iter
-    (fun (n : Dp.net) ->
-      match n.Dp.source with
-      | Dp.From_control _ -> ()
-      | Dp.From_op src ->
-          List.iter
-            (fun (snk : Dp.endpoint) -> add_pred snk.Dp.inst src.Dp.inst)
-            n.Dp.sinks)
-    dp.Dp.nets;
+let dead_operators e =
+  let dp = Elab.datapath e in
   let status_insts =
     List.map (fun (s : Dp.status) -> s.Dp.st_source.Dp.inst) dp.Dp.statuses
   in
-  let is_seed (op : Dp.operator) =
-    List.mem op.Dp.kind test_aid_kinds
-    || (match Hashtbl.find_opt specs op.Dp.id with
-       | Some s -> s.Opspec.sequential
-       | None -> false)
-    || List.mem op.Dp.id status_insts
+  let is_seed (o : Elab.op) =
+    Opkind.is_test_aid o.Elab.kind
+    || o.Elab.spec.Opspec.sequential
+    || List.mem o.Elab.name status_insts
   in
+  (* Liveness flows backwards from the seeds, through input drivers. *)
   let live = Hashtbl.create 16 in
-  let rec mark id =
-    if not (Hashtbl.mem live id) then begin
-      Hashtbl.replace live id ();
-      List.iter mark (Option.value ~default:[] (Hashtbl.find_opt preds id))
+  let rec mark (o : Elab.op) =
+    if not (Hashtbl.mem live o.Elab.id) then begin
+      Hashtbl.replace live o.Elab.id ();
+      List.iter
+        (function _, Elab.Op_out (src, _) -> mark src | _, Elab.Ctl _ -> ())
+        o.Elab.inputs
     end
   in
-  List.iter (fun op -> if is_seed op then mark op.Dp.id) dp.Dp.operators;
+  List.iter (fun o -> if is_seed o then mark o) (Elab.ops e);
   List.filter_map
-    (fun (op : Dp.operator) ->
-      if Hashtbl.mem live op.Dp.id then None
+    (fun (o : Elab.op) ->
+      if Hashtbl.mem live o.Elab.id then None
       else
         Some
           (Diag.warning ~code:"DP014"
-             ~loc:(Printf.sprintf "operator %s" op.Dp.id)
+             ~loc:(Printf.sprintf "operator %s" o.Elab.name)
              ~hint:"remove the operator or connect it to an observable"
              "dead operator: no path to a register, memory, status or probe"))
-    dp.Dp.operators
+    (Elab.ops e)
 
 (* DP015: declared control signals that drive no net. *)
 let unused_controls dp =
@@ -211,7 +106,9 @@ let unused_controls dp =
 let run_datapath dp =
   let structural = Dp.check_diags dp in
   if structural <> [] then structural
-  else combinational_loops dp @ dead_operators dp @ unused_controls dp
+  else
+    let e = Elab.of_datapath dp in
+    combinational_loops e @ dead_operators e @ unused_controls dp
 
 (* ------------------------------------------------------------------ *)
 (* FSM: state reachability, guard satisfiability and shadowing         *)

@@ -1,4 +1,5 @@
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
 module Xml = Xmlkit.Xml
 module Q = Xmlkit.Xml_query
 
@@ -49,11 +50,13 @@ let find_operator dp id = List.find_opt (fun op -> op.id = id) dp.operators
 let operator_spec op =
   Opspec.lookup ~kind:op.kind ~width:op.width ~params:op.params
 
-let test_aid_kinds = [ "probe"; "check"; "stop" ]
-
 let functional_unit_count dp =
   List.length
-    (List.filter (fun op -> not (List.mem op.kind test_aid_kinds)) dp.operators)
+    (List.filter
+       (fun op ->
+         not (Option.fold ~none:false ~some:Opkind.is_test_aid
+                (Opkind.of_string op.kind)))
+       dp.operators)
 
 let port_of_spec spec port =
   List.find_opt (fun p -> p.Opspec.port_name = port) spec.Opspec.ports
@@ -83,8 +86,8 @@ let duplicates names =
   in
   loop [] sorted
 
-(* Diagnostic codes DP001..DP012 (structural; whole-design analyses add
-   DP013.. in the [Lint] library). Locations are document-relative
+(* Diagnostic codes DP001..DP012 and DP016 (structural; whole-design
+   analyses add DP013..DP015 in the [Lint] library). Locations are document-relative
    ("net n3", "operator acc") — bundle-level linting prefixes the
    document name. *)
 let check_diags dp =
@@ -102,6 +105,16 @@ let check_diags dp =
     (duplicates (List.map (fun c -> c.ctl_name) dp.controls));
   List.iter (fun n -> err ~code:"DP004" ~loc:"" "duplicate status signal %S" n)
     (duplicates (List.map (fun s -> s.st_name) dp.statuses));
+  (* Net sources are written "inst.port" or "ctl.<control>" in XML, so an
+     operator named "ctl" or containing a dot would be re-read as
+     something else. *)
+  List.iter
+    (fun op ->
+      if op.id = "ctl" || String.contains op.id '.' then
+        err ~code:"DP016" ~loc:(Printf.sprintf "operator %s" op.id)
+          ~hint:"rename the operator; \"ctl\" and '.' are endpoint syntax"
+          "operator id %S does not survive an XML round trip" op.id)
+    dp.operators;
   (* Resolve specs once; bad kinds/params are reported here. *)
   let specs = Hashtbl.create 16 in
   List.iter

@@ -83,7 +83,9 @@ val status_width : t -> status -> int
 
 val check_diags : t -> Diag.t list
 (** Structural diagnostics; empty means well-formed. Verifies id
-    uniqueness (DP001–DP004), known kinds/parameters (DP005), existing
+    uniqueness (DP001–DP004), operator ids that the XML endpoint syntax
+    would misread — ["ctl"] or containing a dot (DP016), known
+    kinds/parameters (DP005), existing
     endpoints (DP006–DP008), width agreement (DP009), port directions
     (DP010), and single-driver inputs (DP011 unconnected, DP012 multiple
     drivers). Locations are document-relative; whole-design analyses

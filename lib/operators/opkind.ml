@@ -46,6 +46,12 @@ let is_comb = function
   | Reg | Counter | Check | Stop | Probe -> false
   | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Sram | Rom -> true
 
+let is_test_aid = function
+  | Probe | Check | Stop -> true
+  | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Reg | Counter | Sram | Rom
+    ->
+      false
+
 (* --- reference semantics ------------------------------------------------- *)
 
 let bin_bitvec = function

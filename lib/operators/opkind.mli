@@ -55,6 +55,10 @@ val is_comb : t -> bool
 (** Evaluated in a cycle's combinational settle (the sram read port
     included); false for reg, counter and the test aids. *)
 
+val is_test_aid : t -> bool
+(** The verification aids (probe, check, stop): they observe a design
+    rather than compute with it. *)
+
 (** {1 Reference semantics} *)
 
 val bin_bitvec : binop -> Bitvec.t -> Bitvec.t -> Bitvec.t

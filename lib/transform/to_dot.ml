@@ -4,7 +4,9 @@ module Guard = Fsmkit.Guard
 module Dot = Dotkit.Dot
 
 let memory_kinds = [ "sram"; "rom" ]
-let test_aid_kinds = [ "probe"; "check"; "stop" ]
+let is_test_aid kind =
+  Option.fold ~none:false ~some:Operators.Opkind.is_test_aid
+    (Operators.Opkind.of_string kind)
 
 let datapath (dp : Dp.t) =
   let g =
@@ -18,7 +20,7 @@ let datapath (dp : Dp.t) =
       let attrs =
         if List.mem op.Dp.kind memory_kinds then
           [ ("shape", "box3d"); ("label", label) ]
-        else if List.mem op.Dp.kind test_aid_kinds then
+        else if is_test_aid op.Dp.kind then
           [ ("shape", "box"); ("style", "dashed"); ("label", label) ]
         else if op.Dp.kind = "const" then
           [ ("shape", "plaintext"); ("label", label) ]

@@ -1,8 +1,10 @@
 module Ast = Lang.Ast
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
 module Et = Ec.Term
 
 type pass = Optimize_pass | Share_pass | Fold_pass
@@ -451,56 +453,30 @@ type sexp =
   | Sreg of string * int
       (** reg/counter q — the stored value at state entry *)
   | Sread of string * int * sexp  (** memory name, width, address cone *)
-  | Sapp of string * int * sexp list  (** kind, width, argument cones *)
-  | Sfree of string * int  (** unconnected input: sink key, width *)
+  | Sapp of Opkind.t * int * sexp list  (** kind, width, argument cones *)
 
 let umax width = if width >= 62 then max_int else (1 lsl width) - 1
 
 type hw_ctx = {
-  dp : Dp.t;
+  e : Elab.t;
   fsm : Fsm.t;
   st : Fsm.state;
-  driver : (string, Dp.source) Hashtbl.t;  (** "inst.port" -> net source *)
-  memo : (string, sexp) Hashtbl.t;
+  memo : (int * string, sexp) Hashtbl.t;  (** (op id, input port) -> cone *)
   nodes : int ref;
   max_nodes : int;
 }
 
-let build_driver (dp : Dp.t) =
-  let driver = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Dp.net) ->
-      List.iter
-        (fun ep ->
-          Hashtbl.replace driver (Dp.endpoint_to_string ep) n.Dp.source)
-        n.Dp.sinks)
-    dp.Dp.nets;
-  driver
+let mux_inputs (op : Elab.op) =
+  Opspec.param_int op.Elab.params "inputs" ~default:2
 
-let ctl_width (dp : Dp.t) name =
-  match
-    List.find_opt (fun (c : Dp.control) -> c.Dp.ctl_name = name) dp.Dp.controls
-  with
-  | Some c -> c.Dp.ctl_width
-  | None -> 1
-
-let in_ports (op : Dp.operator) =
-  List.filter_map
-    (fun (p : Opspec.port) ->
-      if p.Opspec.direction = Opspec.In then
-        Some (p.Opspec.port_name, p.Opspec.port_width)
-      else None)
-    (Dp.operator_spec op).Opspec.ports
-
-let mux_inputs (op : Dp.operator) =
-  Opspec.param_int op.Dp.params "inputs" ~default:2
-
-let rec cone ctx sink_key =
-  match Hashtbl.find_opt ctx.memo sink_key with
+(* The cone feeding an operator's input port. *)
+let rec cone ctx (op : Elab.op) port =
+  let key = (op.Elab.id, port) in
+  match Hashtbl.find_opt ctx.memo key with
   | Some s -> s
   | None ->
-      let s = cone_uncached ctx sink_key in
-      Hashtbl.replace ctx.memo sink_key s;
+      let s = cone_uncached ctx op port in
+      Hashtbl.replace ctx.memo key s;
       s
 
 and budget ctx =
@@ -508,47 +484,39 @@ and budget ctx =
   if !(ctx.nodes) > ctx.max_nodes then
     raise (Bound (Printf.sprintf "max_nodes=%d" ctx.max_nodes))
 
-and cone_uncached ctx sink_key =
+and cone_uncached ctx op port =
   budget ctx;
-  match Hashtbl.find_opt ctx.driver sink_key with
-  | None ->
-      (* Validated datapaths have no unconnected inputs; keep the sink
-         key so an exotic document still gets a stable free value. *)
-      Sfree (sink_key, 1)
-  | Some (Dp.From_control name) ->
-      Sconst (ctl_width ctx.dp name, Fsm.output_in_state ctx.fsm ctx.st name)
-  | Some (Dp.From_op ep) -> (
-      match Dp.find_operator ctx.dp ep.Dp.inst with
-      | None -> Sfree (Dp.endpoint_to_string ep, 1)
-      | Some op -> op_cone ctx op)
+  match Elab.driver op port with
+  | Elab.Ctl c ->
+      Sconst (c.Dp.ctl_width, Fsm.output_in_state ctx.fsm ctx.st c.Dp.ctl_name)
+  | Elab.Op_out (src, _) -> op_cone ctx src
 
-and op_cone ctx (op : Dp.operator) =
-  let sink port = cone ctx (op.Dp.id ^ "." ^ port) in
-  match op.Dp.kind with
-  | "const" ->
-      Sconst
-        ( op.Dp.width,
-          Opspec.param_int op.Dp.params "value" ~default:0 land umax op.Dp.width
-        )
-  | "reg" | "counter" -> Sreg (op.Dp.id, op.Dp.width)
-  | "sram" | "rom" ->
+and op_cone ctx (op : Elab.op) =
+  let sink = cone ctx op and width = op.Elab.width and params = op.Elab.params in
+  match op.Elab.kind with
+  | Const ->
+      Sconst (width, Opspec.param_int params "value" ~default:0 land umax width)
+  | Reg | Counter -> Sreg (op.Elab.name, width)
+  | Sram | Rom ->
       Sread
-        ( Opspec.param_string op.Dp.params "memory" ~default:op.Dp.id,
-          op.Dp.width,
+        ( Opspec.param_string params "memory" ~default:op.Elab.name,
+          width,
           sink "addr" )
-  | "mux" -> (
+  | Mux -> (
       let n = mux_inputs op in
       match sink "sel" with
       | Sconst (_, v) -> sink (Printf.sprintf "in%d" (min v (n - 1)))
       | sel ->
           let ins = List.init n (fun i -> sink (Printf.sprintf "in%d" i)) in
-          Sapp ("mux", op.Dp.width, sel :: ins))
-  | kind ->
-      let args = List.map (fun (p, _) -> sink p) (in_ports op) in
-      Sapp (kind, op.Dp.width, args)
+          Sapp (Mux, width, sel :: ins))
+  | (Bin _ | Cmp _ | Un _ | Zext | Sext | Probe | Check | Stop) as kind ->
+      let args =
+        List.map (fun ((p : Opspec.port), _) -> sink p.Opspec.port_name) op.Elab.inputs
+      in
+      Sapp (kind, width, args)
 
 (* Cones are rebuilt as {!Ec.Term}s. The operator dispatch and the
-   register/free/memory name prefixes match the legacy evaluator
+   register/memory name prefixes match the legacy evaluator
    exactly, so a sampled world means the same values it always has; the
    normalizing constructors additionally collapse most semantically
    equal cones to the same node on the way in. *)
@@ -556,18 +524,17 @@ let term_of_sexp s =
   let rec go = function
     | Sconst (w, v) -> Et.const ~width:w v
     | Sreg (name, w) -> Et.var ~width:w ("r:" ^ name)
-    | Sfree (key, w) -> Et.var ~width:w ("f:" ^ key)
     | Sread (m, w, a) -> Et.read ~width:w m (go a)
     | Sapp (kind, w, args) -> (
-        match
-          (Option.bind (Operators.Opkind.of_string kind) Et.op_of_kind, args)
-        with
-        | Some op, _ -> Et.app op ~width:w (List.map go args)
-        | None, [ a ] when kind = "pass" -> go a
-        | None, [ a; b ] when kind = "sub" ->
+        match (Et.op_of_kind kind, kind, args) with
+        | Some op, _, _ -> Et.app op ~width:w (List.map go args)
+        | None, Un Pass, [ a ] -> go a
+        | None, Bin Sub, [ a; b ] ->
             Et.app Et.Add ~width:w [ go a; Et.app Et.Neg ~width:w [ go b ] ]
-        | None, _ ->
-            raise (Refute (Printf.sprintf "cone has unknown kind %S" kind)))
+        | None, _, _ ->
+            raise
+              (Refute
+                 (Printf.sprintf "cone has unknown kind %S" (Opkind.to_string kind))))
   in
   Et.Stats.time `Normalize (fun () -> go s)
 
@@ -611,29 +578,21 @@ let check_equiv ~cmp ~state ~what r c =
 (* ------------------------------------------------------------------ *)
 (* Per-state effect comparison (shared by lockstep and stuttering)      *)
 
-type side = { dp : Dp.t; fsm : Fsm.t; driver : (string, Dp.source) Hashtbl.t }
+type side = { dp : Dp.t; fsm : Fsm.t; e : Elab.t }
 
-let make_side (dp, fsm) = { dp; fsm; driver = build_driver dp }
+let make_side (dp, fsm) = { dp; fsm; e = Elab.of_datapath dp }
 
 let state_ctx ~nodes ~max_nodes side st =
-  {
-    dp = side.dp;
-    fsm = side.fsm;
-    st;
-    driver = side.driver;
-    memo = Hashtbl.create 64;
-    nodes;
-    max_nodes;
-  }
+  { e = side.e; fsm = side.fsm; st; memo = Hashtbl.create 64; nodes; max_nodes }
 
-let ops_of dp kind =
-  List.filter (fun (o : Dp.operator) -> o.Dp.kind = kind) dp.Dp.operators
+let ops_of e kind =
+  List.filter (fun (o : Elab.op) -> o.Elab.kind = kind) (Elab.ops e)
 
-let int_param op name =
-  Opspec.param_int op.Dp.params name ~default:0
+let int_param (op : Elab.op) name =
+  Opspec.param_int op.Elab.params name ~default:0
 
-let mem_param (op : Dp.operator) =
-  Opspec.param_string op.Dp.params "memory" ~default:op.Dp.id
+let mem_param (op : Elab.op) =
+  Opspec.param_string op.Elab.params "memory" ~default:op.Elab.name
 
 (* Pair up the architectural elements of the two datapaths. Registers,
    counters, checks, stops and probes keep their ids across the hardware
@@ -661,38 +620,37 @@ let match_by ~state ~what key ref_ops cand_ops f =
 
 let compare_effects ~cmp ~state (rc : hw_ctx) (cc : hw_ctx) =
   let chk = check_equiv ~cmp ~state in
-  let cone_r (op : Dp.operator) port = cone rc (op.Dp.id ^ "." ^ port)
-  and cone_c (op : Dp.operator) port = cone cc (op.Dp.id ^ "." ^ port) in
+  let cone_r = cone rc and cone_c = cone cc in
+  let name (o : Elab.op) = o.Elab.name in
   let pair = match_by ~state in
-  pair ~what:"register" (fun (o : Dp.operator) -> o.Dp.id) (ops_of rc.dp "reg")
-    (ops_of cc.dp "reg") (fun ro co ->
+  pair ~what:"register" name (ops_of rc.e Reg) (ops_of cc.e Reg) (fun ro co ->
       if int_param ro "init" <> int_param co "init" then
         raise
           (Refute
              (Printf.sprintf "register %s: reset values differ (%d vs %d)"
-                ro.Dp.id (int_param ro "init") (int_param co "init")));
+                ro.Elab.name (int_param ro "init") (int_param co "init")));
       let ren = cone_r ro "en" and cen = cone_c co "en" in
-      let what p = Printf.sprintf "register %s %s" ro.Dp.id p in
+      let what p = Printf.sprintf "register %s %s" ro.Elab.name p in
       chk ~what:(what "enable") ren cen;
       (* When both sides provably keep the register, the data input is
          unobservable — shared datapaths legitimately park their operand
          muxes on defaults there. *)
       if not (is_zero_const ren && is_zero_const cen) then
         chk ~what:(what "data") (cone_r ro "d") (cone_c co "d"));
-  pair ~what:"counter" (fun (o : Dp.operator) -> o.Dp.id)
-    (ops_of rc.dp "counter") (ops_of cc.dp "counter") (fun ro co ->
+  pair ~what:"counter" name (ops_of rc.e Counter) (ops_of cc.e Counter)
+    (fun ro co ->
       if int_param ro "init" <> int_param co "init" then
         raise
           (Refute
-             (Printf.sprintf "counter %s: reset values differ" ro.Dp.id));
-      let what p = Printf.sprintf "counter %s %s" ro.Dp.id p in
+             (Printf.sprintf "counter %s: reset values differ" ro.Elab.name));
+      let what p = Printf.sprintf "counter %s %s" ro.Elab.name p in
       chk ~what:(what "enable") (cone_r ro "en") (cone_c co "en");
       let rload = cone_r ro "load" and cload = cone_c co "load" in
       chk ~what:(what "load") rload cload;
       if not (is_zero_const rload && is_zero_const cload) then
         chk ~what:(what "data") (cone_r ro "d") (cone_c co "d"));
-  pair ~what:"memory port" mem_param (ops_of rc.dp "sram")
-    (ops_of cc.dp "sram") (fun ro co ->
+  pair ~what:"memory port" mem_param (ops_of rc.e Sram)
+    (ops_of cc.e Sram) (fun ro co ->
       let m = mem_param ro in
       let what p = Printf.sprintf "memory %s %s" m p in
       let rwe = cone_r ro "we" and cwe = cone_c co "we" in
@@ -701,42 +659,35 @@ let compare_effects ~cmp ~state (rc : hw_ctx) (cc : hw_ctx) =
         chk ~what:(what "write address") (cone_r ro "addr") (cone_c co "addr");
         chk ~what:(what "write data") (cone_r ro "din") (cone_c co "din")
       end);
-  pair ~what:"check" (fun (o : Dp.operator) -> o.Dp.id) (ops_of rc.dp "check")
-    (ops_of cc.dp "check") (fun ro co ->
+  pair ~what:"check" name (ops_of rc.e Check)
+    (ops_of cc.e Check) (fun ro co ->
       if int_param ro "value" <> int_param co "value" then
         raise
           (Refute
-             (Printf.sprintf "check %s: expected values differ" ro.Dp.id));
-      let what p = Printf.sprintf "check %s %s" ro.Dp.id p in
+             (Printf.sprintf "check %s: expected values differ" ro.Elab.name));
+      let what p = Printf.sprintf "check %s %s" ro.Elab.name p in
       let ren = cone_r ro "en" and cen = cone_c co "en" in
       chk ~what:(what "enable") ren cen;
       if not (is_zero_const ren && is_zero_const cen) then
         chk ~what:(what "value") (cone_r ro "a") (cone_c co "a"));
-  pair ~what:"stop" (fun (o : Dp.operator) -> o.Dp.id) (ops_of rc.dp "stop")
-    (ops_of cc.dp "stop") (fun ro co ->
+  pair ~what:"stop" name (ops_of rc.e Stop)
+    (ops_of cc.e Stop) (fun ro co ->
       chk
-        ~what:(Printf.sprintf "stop %s enable" ro.Dp.id)
+        ~what:(Printf.sprintf "stop %s enable" ro.Elab.name)
         (cone_r ro "en") (cone_c co "en"));
-  pair ~what:"probe" (fun (o : Dp.operator) -> o.Dp.id) (ops_of rc.dp "probe")
-    (ops_of cc.dp "probe") (fun ro co ->
+  pair ~what:"probe" name (ops_of rc.e Probe)
+    (ops_of cc.e Probe) (fun ro co ->
       chk
-        ~what:(Printf.sprintf "probe %s" ro.Dp.id)
+        ~what:(Printf.sprintf "probe %s" ro.Elab.name)
         (cone_r ro "a") (cone_c co "a"))
 
 let status_cone (ctx : hw_ctx) name =
   match
-    List.find_opt (fun (s : Dp.status) -> s.Dp.st_name = name) ctx.dp.Dp.statuses
+    List.find_opt (fun (s : Dp.status) -> s.Dp.st_name = name) (Elab.datapath ctx.e).Dp.statuses
   with
   | None ->
       raise (Refute (Printf.sprintf "guard references unknown status %S" name))
-  | Some s -> (
-      match Dp.find_operator ctx.dp s.Dp.st_source.Dp.inst with
-      | None ->
-          raise
-            (Refute
-               (Printf.sprintf "status %S taps a missing operator %S" name
-                  s.Dp.st_source.Dp.inst))
-      | Some op -> op_cone ctx op)
+  | Some s -> op_cone ctx (Option.get (Elab.find ctx.e s.Dp.st_source.Dp.inst))
 
 (* Transition comparison: same decision structure (guards compared as
    formulas over status names), same targets in the same priority order,
@@ -813,37 +764,36 @@ let seq_effects (ctx : hw_ctx) =
      substitution. *)
   let regs =
     List.map
-      (fun (o : Dp.operator) ->
-        (o, cone ctx (o.Dp.id ^ ".en"), `Reg))
-      (ops_of ctx.dp "reg")
+      (fun (o : Elab.op) -> (o, cone ctx o "en", `Reg))
+      (ops_of ctx.e Reg)
   and counters =
     List.map
-      (fun (o : Dp.operator) -> (o, cone ctx (o.Dp.id ^ ".en"), `Counter))
-      (ops_of ctx.dp "counter")
+      (fun (o : Elab.op) -> (o, cone ctx o "en", `Counter))
+      (ops_of ctx.e Counter)
   and srams =
     List.map
-      (fun (o : Dp.operator) -> (o, cone ctx (o.Dp.id ^ ".we"), `Sram))
-      (ops_of ctx.dp "sram")
+      (fun (o : Elab.op) -> (o, cone ctx o "we", `Sram))
+      (ops_of ctx.e Sram)
   and checks =
     List.map
-      (fun (o : Dp.operator) -> (o, cone ctx (o.Dp.id ^ ".en"), `Check))
-      (ops_of ctx.dp "check")
+      (fun (o : Elab.op) -> (o, cone ctx o "en", `Check))
+      (ops_of ctx.e Check)
   and stops =
     List.map
-      (fun (o : Dp.operator) -> (o, cone ctx (o.Dp.id ^ ".en"), `Stop))
-      (ops_of ctx.dp "stop")
+      (fun (o : Elab.op) -> (o, cone ctx o "en", `Stop))
+      (ops_of ctx.e Stop)
   in
   regs @ counters @ srams @ checks @ stops
 
 let assert_effect_free ctx state =
   List.iter
-    (fun ((o : Dp.operator), en, _) ->
+    (fun ((o : Elab.op), en, _) ->
       if not (is_zero_const en) then
         raise
           (Refute
              (Printf.sprintf
                 "state %s was eliminated by the fold but arms %s %s there"
-                state o.Dp.kind o.Dp.id)))
+                state (Opkind.to_string o.Elab.kind) o.Elab.name)))
     (seq_effects ctx)
 
 (* The fold witness: folded state F absorbs its successor X's branch
@@ -857,7 +807,7 @@ let fold_subst (ctx : hw_ctx) state =
   let sigma = Hashtbl.create 8 in
   let written_mems = ref [] in
   List.iter
-    (fun ((o : Dp.operator), en, cls) ->
+    (fun ((o : Elab.op), en, cls) ->
       match cls with
       | `Check | `Stop -> ()
       | `Sram ->
@@ -867,42 +817,42 @@ let fold_subst (ctx : hw_ctx) state =
           match en with
           | Sconst (_, 0) -> ()
           | Sconst (_, _) ->
-              Hashtbl.replace sigma o.Dp.id (cone ctx (o.Dp.id ^ ".d"))
+              Hashtbl.replace sigma o.Elab.name (cone ctx o "d")
           | _ ->
               raise
                 (Refute
                    (Printf.sprintf
                       "state %s: register %s is conditionally written before \
                        a folded branch — no sound fold witness"
-                      state o.Dp.id)))
+                      state o.Elab.name)))
       | `Counter -> (
           match en with
           | Sconst (_, 0) -> ()
           | Sconst (_, _) -> (
-              match cone ctx (o.Dp.id ^ ".load") with
+              match cone ctx o "load" with
               | Sconst (_, 0) ->
-                  Hashtbl.replace sigma o.Dp.id
+                  Hashtbl.replace sigma o.Elab.name
                     (Sapp
-                       ( "add",
-                         o.Dp.width,
-                         [ Sreg (o.Dp.id, o.Dp.width); Sconst (o.Dp.width, 1) ]
+                       ( Bin Add,
+                         o.Elab.width,
+                         [ Sreg (o.Elab.name, o.Elab.width); Sconst (o.Elab.width, 1) ]
                        ))
               | Sconst (_, _) ->
-                  Hashtbl.replace sigma o.Dp.id (cone ctx (o.Dp.id ^ ".d"))
+                  Hashtbl.replace sigma o.Elab.name (cone ctx o "d")
               | _ ->
                   raise
                     (Refute
                        (Printf.sprintf
                           "state %s: counter %s load is not resolved before a \
                            folded branch — no sound fold witness"
-                          state o.Dp.id)))
+                          state o.Elab.name)))
           | _ ->
               raise
                 (Refute
                    (Printf.sprintf
                       "state %s: counter %s is conditionally stepped before a \
                        folded branch — no sound fold witness"
-                      state o.Dp.id))))
+                      state o.Elab.name))))
     (seq_effects ctx);
   let rec apply = function
     | Sconst _ as s -> s
@@ -918,7 +868,6 @@ let fold_subst (ctx : hw_ctx) state =
                   state m))
         else Sread (m, w, apply a)
     | Sapp (kind, w, args) -> Sapp (kind, w, List.map apply args)
-    | Sfree _ as s -> s
   in
   apply
 

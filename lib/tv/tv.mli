@@ -157,4 +157,5 @@ val validate_hardware :
     [Invalid_argument] on {!Optimize_pass}. [memories] declares initial
     contents for the {!Absint} invariant-preservation query, with the
     same contract as {!Absint.analyze}. Both documents must pass their
-    dialect validation. *)
+    dialect validation; an invalid datapath raises
+    {!Netlist.Datapath.Invalid}. *)

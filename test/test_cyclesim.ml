@@ -72,6 +72,37 @@ let test_check_failures_counted () =
   check_bool "done" true (Cyclesim.run cy = `Done);
   check_int "two violations" 2 (Cyclesim.check_failures cy)
 
+(* The compiled [a = 7] program plus an [add] whose output feeds its own
+   input [a]: a combinational self-loop, which lint reports as DP013. *)
+let self_loop_partition () =
+  let module Dp = Netlist.Datapath in
+  let compiled = compile "program t width 8; var a; a = 7;" in
+  let p = List.hd compiled.Compile.partitions in
+  let dp = p.Compile.datapath in
+  let net net_id src sink =
+    {
+      Dp.net_id;
+      net_width = 8;
+      source = Dp.From_op (Dp.endpoint_of_string src);
+      sinks = [ Dp.endpoint_of_string sink ];
+    }
+  in
+  let dp =
+    {
+      dp with
+      Dp.operators =
+        dp.Dp.operators
+        @ [
+            { Dp.id = "loop"; kind = "add"; width = 8; params = [] };
+            { Dp.id = "loop_b"; kind = "const"; width = 8; params = [ ("value", "1") ] };
+          ];
+      nets =
+        dp.Dp.nets
+        @ [ net "n_loop" "loop.y" "loop.a"; net "n_loop_b" "loop_b.y" "loop.b" ];
+    }
+  in
+  (compiled, { p with Compile.datapath = dp })
+
 let test_shared_design_rejected () =
   (* Operator sharing creates structural combinational cycles the
      levelized evaluator cannot order; it must refuse, not mis-simulate. *)
@@ -85,8 +116,7 @@ let test_shared_design_rejected () =
       ~options:{ Compile.share_operators = true; optimize = false; fold_branches = false }
       (Lang.Parser.parse_string src)
   in
-  let p = List.hd compiled.Compile.partitions in
-  let raised =
+  let rejected (p : Compile.partition) =
     try
       ignore
         (Cyclesim.create ~memories:(fun _ -> failwith "none")
@@ -94,7 +124,10 @@ let test_shared_design_rejected () =
       false
     with Cyclesim.Combinational_cycle _ -> true
   in
-  check_bool "combinational cycle rejected" true raised
+  check_bool "combinational cycle rejected" true
+    (rejected (List.hd compiled.Compile.partitions));
+  check_bool "combinational self-loop rejected" true
+    (rejected (snd (self_loop_partition ())))
 
 let random_program =
   QCheck2.Gen.(

@@ -134,6 +134,14 @@ let test_shared_operators_admissible () =
   | Error e -> Alcotest.fail ("shared design not admissible: " ^ e));
   diff_plan "shared" ~options:shared_options ~seed:5 ~n:30 shared_src []
 
+let test_self_loop_not_admissible () =
+  (* A combinational self-loop has no mux to break it: absint cannot
+     prove it acyclic, so the compiled backend must refuse the design. *)
+  let compiled, p = Test_cyclesim.self_loop_partition () in
+  match Fastsim.admissible { compiled with Compile.partitions = [ p ] } with
+  | Ok () -> Alcotest.fail "a combinational self-loop was admitted"
+  | Error _ -> ()
+
 (* Regression: a full batch occupies all 63 lanes, and lane 62 sits in
    the sign bit of the lane mask. The all-lanes mask was once built as
    [-1 lsr 1] (= max_int, bits 0..61), which silently dropped lane 62
@@ -310,4 +318,5 @@ let suite =
     ( "compiled journal resumes to the same report",
       `Quick,
       test_compiled_journal_resume );
+    ("combinational self-loop not admissible", `Quick, test_self_loop_not_admissible);
   ]

@@ -225,6 +225,168 @@ let prop_roundtrip =
          = Dp.of_xml
              (Xmlkit.Xml_parser.parse_string (Xmlkit.Xml.to_string (Dp.to_xml dp))))
 
+(* --- operator ids the XML endpoint syntax would misread (DP016) ----- *)
+
+(* [id] is a const feeding register [r]; an unused 8-bit control [y]
+   makes "ctl.y" a valid reading of the const's net after a reload. *)
+let reserved_id_design id =
+  {
+    Dp.dp_name = "rsv";
+    operators =
+      [
+        { Dp.id; kind = "const"; width = 8; params = [ ("value", "3") ] };
+        { Dp.id = "r"; kind = "reg"; width = 8; params = [] };
+      ];
+    controls =
+      [ { Dp.ctl_name = "y"; ctl_width = 8 }; { Dp.ctl_name = "en"; ctl_width = 1 } ];
+    statuses = [];
+    nets =
+      [
+        {
+          Dp.net_id = "n1";
+          net_width = 8;
+          source = Dp.From_op { Dp.inst = id; port = "y" };
+          sinks = [ { Dp.inst = "r"; port = "d" } ];
+        };
+        {
+          Dp.net_id = "n2";
+          net_width = 1;
+          source = Dp.From_control "en";
+          sinks = [ { Dp.inst = "r"; port = "en" } ];
+        };
+      ];
+  }
+
+let reload dp =
+  Dp.of_xml (Xmlkit.Xml_parser.parse_string (Xmlkit.Xml.to_string (Dp.to_xml dp)))
+
+let codes dp = List.map (fun (d : Diag.t) -> d.Diag.code) (Dp.check_diags dp)
+
+let test_reserved_ctl_id_rejected () =
+  let dp = reserved_id_design "ctl" in
+  (* The hazard: the reloaded net reads from control y, a different but
+     structurally valid design. *)
+  check_bool "reload rewires n1 to control y" true
+    ((List.hd (reload dp).Dp.nets).Dp.source = Dp.From_control "y");
+  Alcotest.(check (list string)) "DP016 in memory" [ "DP016" ] (codes dp)
+
+let test_dotted_id_rejected () =
+  let dp = reserved_id_design "a.b" in
+  check_bool "reload breaks the endpoint" true
+    (List.mem "DP006" (codes (reload dp)));
+  Alcotest.(check (list string)) "DP016 in memory" [ "DP016" ] (codes dp)
+
+(* --- Elab properties over compiled random programs ------------------- *)
+
+module Elab = Netlist.Elab
+module Opspec = Operators.Opspec
+
+let compiled_datapaths src =
+  let prog = Lang.Parser.parse_string src in
+  List.concat_map
+    (fun (_, options) ->
+      List.map
+        (fun (p : Compiler.Compile.partition) -> p.Compiler.Compile.datapath)
+        (Compiler.Compile.compile ~options prog).Compiler.Compile.partitions)
+    Testinfra.Suite.default_variants
+
+(* Every input port has exactly one driver — the one net sinking into
+   it — and the driver's width is the port's. *)
+let drivers_resolved dp =
+  let e = Elab.of_datapath dp in
+  List.for_all
+    (fun (o : Elab.op) ->
+      let ins =
+        List.filter (fun (p : Opspec.port) -> p.Opspec.direction = Opspec.In)
+          o.Elab.spec.Opspec.ports
+      in
+      List.length o.Elab.inputs = List.length ins
+      && List.for_all
+           (fun (p : Opspec.port) ->
+             let sink = { Dp.inst = o.Elab.name; port = p.Opspec.port_name } in
+             let nets = List.filter (fun (n : Dp.net) -> List.mem sink n.Dp.sinks) dp.Dp.nets in
+             match (nets, Elab.driver o p.Opspec.port_name) with
+             | [ n ], Elab.Op_out (src, q) ->
+                 n.Dp.source = Dp.From_op { Dp.inst = src.Elab.name; port = q.Opspec.port_name }
+                 && q.Opspec.port_width = p.Opspec.port_width
+             | [ n ], Elab.Ctl c ->
+                 n.Dp.source = Dp.From_control c.Dp.ctl_name
+                 && c.Dp.ctl_width = p.Opspec.port_width
+             | _ -> false)
+           ins)
+    (Elab.ops e)
+
+(* The order places every combinational driver before its consumer and
+   partitions the combinational set with the stuck operators. *)
+let order_respects_drivers dp =
+  let e = Elab.of_datapath dp in
+  let order, stuck = Elab.levelize e ~deps:Elab.comb_preds in
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun i (o : Elab.op) -> Hashtbl.replace pos o.Elab.id i) order;
+  List.sort compare (List.map (fun (o : Elab.op) -> o.Elab.id) (order @ stuck))
+  = List.map (fun (o : Elab.op) -> o.Elab.id) (Elab.comb e)
+  && List.for_all
+       (fun (o : Elab.op) ->
+         List.for_all
+           (fun (d : Elab.op) ->
+             match Hashtbl.find_opt pos d.Elab.id with
+             | Some i -> i < Hashtbl.find pos o.Elab.id
+             | None -> false)
+           (Elab.comb_preds o))
+       order
+
+(* Members of lint's DP013 components, parsed from "... through a -> b". *)
+let dp013_members dp =
+  List.concat_map
+    (fun (d : Diag.t) ->
+      if d.Diag.code <> "DP013" then []
+      else
+        let words = String.split_on_char ' ' d.Diag.message in
+        let rec path = function
+          | "through" :: rest -> rest
+          | _ :: rest -> path rest
+          | [] -> []
+        in
+        let rec members = function
+          | w :: "->" :: rest -> w :: members rest
+          | w :: _ -> [ w ]
+          | [] -> []
+        in
+        members (path words))
+    (Lint.run_datapath dp)
+
+(* The stuck set is exactly what a cycle feeds: the members of lint's
+   DP013 components plus every combinational operator downstream of
+   them (Kahn's sort cannot place those either). *)
+let stuck_matches_lint dp =
+  let e = Elab.of_datapath dp in
+  let _, stuck = Elab.levelize e ~deps:Elab.comb_preds in
+  let reached = Hashtbl.create 16 in
+  let rec reach (o : Elab.op) =
+    if not (Hashtbl.mem reached o.Elab.name) then begin
+      Hashtbl.replace reached o.Elab.name ();
+      List.iter
+        (fun (c : Elab.op) -> if Operators.Opkind.is_comb c.Elab.kind then reach c)
+        (Elab.consumers o)
+    end
+  in
+  List.iter (fun name -> reach (Option.get (Elab.find e name))) (dp013_members dp);
+  List.sort compare (List.map (fun (o : Elab.op) -> o.Elab.name) stuck)
+  = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) reached [])
+
+let prop_elab name check =
+  QCheck2.Test.make ~name ~count:25 Test_cyclesim.random_program (fun src ->
+      List.for_all check (compiled_datapaths src))
+
+let prop_elab_drivers =
+  prop_elab "elab: one driver per input port, widths agree" drivers_resolved
+
+let prop_elab_order =
+  prop_elab "elab: levelize orders drivers before consumers" order_respects_drivers
+
+let prop_elab_stuck =
+  prop_elab "elab: stuck set = DP013 members and their comb fanout" stuck_matches_lint
+
 let suite =
   [
     ("builder produces valid datapath", `Quick, test_builder_produces_valid);
@@ -244,4 +406,9 @@ let suite =
     ("builder duplicate id", `Quick, test_builder_duplicate_id_rejected);
     ("builder width inference", `Quick, test_builder_width_inference);
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    ("reserved id ctl rejected", `Quick, test_reserved_ctl_id_rejected);
+    ("dotted id rejected", `Quick, test_dotted_id_rejected);
+    QCheck_alcotest.to_alcotest prop_elab_drivers;
+    QCheck_alcotest.to_alcotest prop_elab_order;
+    QCheck_alcotest.to_alcotest prop_elab_stuck;
   ]
