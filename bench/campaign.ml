@@ -37,7 +37,7 @@ let jobs_list = ref [ 1; 4 ]
 let backends = ref [ Faultcamp.Interp; Faultcamp.Compiled ]
 let fuzz_n = ref 40
 let out_path = ref "BENCH_faultcamp.json"
-let faultcamp_exe = ref ""
+let fpgatest_exe = ref ""
 let shard_faults = 300
 let shard_counts = [ 1; 2; 3 ]
 let shard_chaos_seed = 2
@@ -74,9 +74,9 @@ let spec =
      "B1,B2,... backends to measure (interp, compiled, auto)");
     ("-fuzz-n", Arg.Set_int fuzz_n,
      "N programs for the differential-fuzzing throughput section");
-    ("-faultcamp", Arg.Set_string faultcamp_exe,
-     "PATH faultcamp binary re-execed as shard workers (enables the \
-      shard-scaling section)");
+    ("-fpgatest", Arg.Set_string fpgatest_exe,
+     "PATH fpgatest binary re-execed as `fpgatest campaign --worker` shard \
+      workers (enables the shard-scaling section)");
     ("-o", Arg.Set_string out_path, "PATH output JSON file");
   ]
 
@@ -250,8 +250,8 @@ let bench_fuzz () =
    3-shard run. Every cell also re-asserts the headline contract: the
    merged report is byte-identical to the single-process one. *)
 let bench_shards () =
-  if !faultcamp_exe = "" then begin
-    Printf.printf "shard section skipped (no -faultcamp PATH given)\n";
+  if !fpgatest_exe = "" then begin
+    Printf.printf "shard section skipped (no -fpgatest PATH given)\n";
     {|  "shard": null,|}
   end
   else begin
@@ -276,7 +276,7 @@ let bench_shards () =
       let cfg =
         {
           (Testinfra.Shard.default_config ~case ~dir:sub
-             ~worker_exe:!faultcamp_exe)
+             ~worker_exe:!fpgatest_exe)
           with
           seed = !seed;
           faults = shard_faults;
@@ -289,19 +289,8 @@ let bench_shards () =
       Testinfra.Shard.run cfg
     in
     let row ?chaos (r : Testinfra.Shard.result) shards =
-      let workers =
-        List.fold_left
-          (fun acc (s : Testinfra.Shard.shard_status) ->
-            acc + s.Testinfra.Shard.s_attempts)
-          0 r.Testinfra.Shard.statuses
-      in
-      let quarantined =
-        List.length
-          (List.filter
-             (fun (s : Testinfra.Shard.shard_status) ->
-               s.Testinfra.Shard.s_quarantined)
-             r.Testinfra.Shard.statuses)
-      in
+      let workers = Testinfra.Shard.workers_spawned r in
+      let quarantined = Testinfra.Shard.quarantined r in
       let identical =
         Report.campaign_to_string ~verbose:true r.Testinfra.Shard.campaign
         = ref_report

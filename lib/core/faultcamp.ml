@@ -497,6 +497,30 @@ let replay_table entries =
 
 (* --- the campaign driver ------------------------------------------------ *)
 
+let validate_params ~faults ~max_cycles_factor ~jobs ~deadline_seconds
+    ~slice_cycles ~max_retries ~backoff_seconds ~deadline_profile ~stop_after =
+  let bad fmt = Printf.ksprintf invalid_arg ("Faultcamp: " ^^ fmt) in
+  if faults < 0 then bad "faults must be >= 0 (got %d)" faults;
+  if max_cycles_factor < 1 then
+    bad "max_cycles_factor must be >= 1 (got %d)" max_cycles_factor;
+  if jobs < 1 then bad "jobs must be >= 1 (got %d)" jobs;
+  if slice_cycles < 1 then
+    bad "slice_cycles must be >= 1 (got %d)" slice_cycles;
+  if max_retries < 0 then bad "max_retries must be >= 0 (got %d)" max_retries;
+  if backoff_seconds < 0. then
+    bad "backoff_seconds must be >= 0 (got %g)" backoff_seconds;
+  if deadline_seconds < 0. then
+    bad "deadline_seconds must be >= 0 (got %g)" deadline_seconds;
+  List.iter
+    (fun (cls, sec) ->
+      if not (List.mem cls Fault.all_classes) then
+        bad "deadline profile names unknown fault class %S" cls;
+      if sec < 0. then bad "deadline profile for class %S must be >= 0" cls)
+    deadline_profile;
+  match stop_after with
+  | Some k when k < 1 -> bad "stop_after must be >= 1 (got %d)" k
+  | _ -> ()
+
 let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
     ?(backend = Interp)
     ?(deadline_seconds = default_deadline_seconds)
@@ -506,35 +530,13 @@ let run ?(seed = 1) ?(faults = 25) ?(max_cycles_factor = 4) ?(jobs = 1)
     ?(deadline_profile = []) ?shard ?(replay_only = false) ?baseline
     ?on_entry ?on_writer ?(header_extra = []) ?cancel ?journal_path
     ?resume_from ?stop_after (case : Suite.case) =
-  if faults < 0 then invalid_arg "Faultcamp.run: faults must be >= 0";
-  if max_cycles_factor < 1 then
-    invalid_arg "Faultcamp.run: max_cycles_factor must be >= 1";
-  if slice_cycles < 1 then
-    invalid_arg "Faultcamp.run: slice_cycles must be >= 1";
-  if max_retries < 0 then invalid_arg "Faultcamp.run: max_retries must be >= 0";
-  if backoff_seconds < 0. then
-    invalid_arg "Faultcamp.run: backoff_seconds must be >= 0";
-  if deadline_seconds < 0. then
-    invalid_arg "Faultcamp.run: deadline_seconds must be >= 0";
-  List.iter
-    (fun (cls, sec) ->
-      if not (List.mem cls Fault.all_classes) then
-        invalid_arg
-          (Printf.sprintf
-             "Faultcamp.run: deadline profile names unknown fault class %S" cls);
-      if sec < 0. then
-        invalid_arg
-          (Printf.sprintf
-             "Faultcamp.run: deadline profile for class %S must be >= 0" cls))
-    deadline_profile;
+  validate_params ~faults ~max_cycles_factor ~jobs ~deadline_seconds
+    ~slice_cycles ~max_retries ~backoff_seconds ~deadline_profile ~stop_after;
   (match shard with
   | Some (i, n) when n < 1 || i < 0 || i >= n ->
       invalid_arg
         (Printf.sprintf
            "Faultcamp.run: shard index %d out of range for %d shard(s)" i n)
-  | _ -> ());
-  (match stop_after with
-  | Some k when k < 1 -> invalid_arg "Faultcamp.run: stop_after must be >= 1"
   | _ -> ());
   let wall_started = Unix.gettimeofday () in
   let cancel =

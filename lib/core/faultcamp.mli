@@ -169,6 +169,25 @@ val shard_slice : shards:int -> plan:int -> int -> int * int
     campaign: contiguous, disjoint, covering [\[0, plan)] exactly.
     Raises [Invalid_argument] on an out-of-range index. *)
 
+val validate_params :
+  faults:int ->
+  max_cycles_factor:int ->
+  jobs:int ->
+  deadline_seconds:float ->
+  slice_cycles:int ->
+  max_retries:int ->
+  backoff_seconds:float ->
+  deadline_profile:(string * float) list ->
+  stop_after:int option ->
+  unit
+(** The campaign parameters' range checks, shared by {!run} and
+    [Shard.validate] so a sharded campaign refuses a bad parameter
+    before it spawns a worker. Raises [Invalid_argument] with a one-line
+    message naming the parameter: negative [faults], [max_retries],
+    [backoff_seconds] or [deadline_seconds]; [max_cycles_factor],
+    [jobs], [slice_cycles] or [stop_after] below 1; a deadline profile
+    naming an unknown fault class or a negative deadline. *)
+
 val run :
   ?seed:int ->
   ?faults:int ->

@@ -35,7 +35,6 @@ type config = {
   worker_jobs : int;
   dir : string;
   worker_exe : string;
-  worker_argv_prefix : string list;
   watchdog_seconds : float;
   respawn_backoff_seconds : float;
   chaos : int option;
@@ -57,40 +56,51 @@ let default_config ~case ~dir ~worker_exe =
     worker_jobs = 1;
     dir;
     worker_exe;
-    worker_argv_prefix = [];
     watchdog_seconds = 10.;
     respawn_backoff_seconds = 0.25;
     chaos = None;
   }
 
+let validate_coordinator ~watchdog_seconds ~respawn_backoff_seconds =
+  if watchdog_seconds <= 0. then
+    invalid_arg
+      (Printf.sprintf "Shard: watchdog_seconds must be > 0 (got %g)"
+         watchdog_seconds);
+  if respawn_backoff_seconds < 0. then
+    invalid_arg
+      (Printf.sprintf "Shard: respawn_backoff_seconds must be >= 0 (got %g)"
+         respawn_backoff_seconds)
+
 let validate cfg =
-  if cfg.shards < 1 then invalid_arg "Shard: shards must be >= 1";
-  if cfg.worker_jobs < 1 then invalid_arg "Shard: worker_jobs must be >= 1";
-  if cfg.watchdog_seconds <= 0. then
-    invalid_arg "Shard: watchdog_seconds must be > 0";
-  if cfg.respawn_backoff_seconds < 0. then
-    invalid_arg "Shard: respawn_backoff_seconds must be >= 0";
-  if cfg.deadline_seconds < 0. then
-    invalid_arg "Shard: deadline_seconds must be >= 0";
+  Faultcamp.validate_params ~faults:cfg.faults
+    ~max_cycles_factor:cfg.max_cycles_factor ~jobs:cfg.worker_jobs
+    ~deadline_seconds:cfg.deadline_seconds ~slice_cycles:cfg.slice_cycles
+    ~max_retries:cfg.max_retries ~backoff_seconds:cfg.backoff_seconds
+    ~deadline_profile:cfg.deadline_profile ~stop_after:None;
+  validate_coordinator ~watchdog_seconds:cfg.watchdog_seconds
+    ~respawn_backoff_seconds:cfg.respawn_backoff_seconds;
+  if cfg.shards < 1 then
+    invalid_arg
+      (Printf.sprintf "Shard: shards must be >= 1 (got %d)" cfg.shards);
   if cfg.worker_exe = "" then invalid_arg "Shard: worker_exe must be set"
 
 let journal_path cfg i =
   Filename.concat cfg.dir (Printf.sprintf "shard-%d-of-%d.jsonl" i cfg.shards)
 
 let worker_args cfg ~baseline ~shard ~chaos_exec =
-  cfg.worker_argv_prefix
-  @ [
-      "--workload"; cfg.case.Suite.case_name;
-      "--faults"; string_of_int cfg.faults;
-      "--seed"; string_of_int cfg.seed;
-      "--max-cycles-factor"; string_of_int cfg.max_cycles_factor;
-      "--jobs"; string_of_int cfg.worker_jobs;
-      "--backend"; Faultcamp.backend_label cfg.backend;
-      "--deadline"; Printf.sprintf "%g" cfg.deadline_seconds;
-      "--slice"; string_of_int cfg.slice_cycles;
-      "--retries"; string_of_int cfg.max_retries;
-      "--backoff"; Printf.sprintf "%g" cfg.backoff_seconds;
-    ]
+  [
+    "campaign";
+    "--workload"; cfg.case.Suite.case_name;
+    "--faults"; string_of_int cfg.faults;
+    "--seed"; string_of_int cfg.seed;
+    "--max-cycles-factor"; string_of_int cfg.max_cycles_factor;
+    "--jobs"; string_of_int cfg.worker_jobs;
+    "--backend"; Faultcamp.backend_label cfg.backend;
+    "--deadline"; Printf.sprintf "%g" cfg.deadline_seconds;
+    "--slice"; string_of_int cfg.slice_cycles;
+    "--retries"; string_of_int cfg.max_retries;
+    "--backoff"; Printf.sprintf "%g" cfg.backoff_seconds;
+  ]
   @ (if cfg.deadline_profile = [] then []
      else
        [
@@ -568,6 +578,17 @@ let run ?cancel cfg =
     respawns = !respawns;
     wall_seconds = now () -. started;
   }
+
+let workers_spawned r =
+  List.fold_left (fun acc s -> acc + s.s_attempts) 0 r.statuses
+
+let quarantined r =
+  List.length (List.filter (fun s -> s.s_quarantined) r.statuses)
+
+let timing r =
+  Metrics.shard_timing ~shards:(List.length r.statuses)
+    ~workers_spawned:(workers_spawned r) ~respawns:r.respawns
+    ~quarantined:(quarantined r) ~wall_seconds:r.wall_seconds
 
 let render ?verbose r =
   let base = Report.campaign_to_string ?verbose r.campaign in

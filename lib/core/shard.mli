@@ -40,10 +40,9 @@ type config = {
   shards : int;
   worker_jobs : int;  (** [-j] inside each worker. *)
   dir : string;  (** Shard journals live here (created if missing). *)
-  worker_exe : string;  (** The executable to re-exec as workers. *)
-  worker_argv_prefix : string list;
-      (** Arguments before the campaign flags — e.g. [["campaign"]]
-          when [worker_exe] is a multi-command CLI. *)
+  worker_exe : string;
+      (** The executable to re-exec as workers, as
+          [worker_exe campaign --worker ...] ({!worker_args}). *)
   watchdog_seconds : float;
       (** A worker whose journal shard shows no activity (heartbeats
           included) for this long is declared dead and SIGKILLed. *)
@@ -63,6 +62,12 @@ val default_config :
     10 s watchdog, 0.25 s respawn backoff, no chaos, and the
     {!Faultcamp} resilience defaults. *)
 
+val validate_coordinator :
+  watchdog_seconds:float -> respawn_backoff_seconds:float -> unit
+(** The coordinator's own range checks (part of {!run}'s config check):
+    [watchdog_seconds > 0], [respawn_backoff_seconds >= 0]. Raises
+    [Invalid_argument]. *)
+
 val journal_path : config -> int -> string
 (** [journal_path cfg i] — where shard [i]'s journal lives
     ([dir/shard-<i>-of-<n>.jsonl]). *)
@@ -70,9 +75,9 @@ val journal_path : config -> int -> string
 val worker_args : config -> baseline:Faultcamp.baseline -> shard:int ->
   chaos_exec:Chaos.disruption option -> string list
 (** The argv (after the executable) the coordinator passes to shard
-    [shard]'s worker — the CLI campaign flags plus the [--worker]
-    protocol flags. Exposed so the CLIs and the tests agree on the
-    wire format. *)
+    [shard]'s worker — the [campaign] subcommand, its campaign flags
+    and the [--worker] protocol flags. Exposed so the CLI and the tests
+    agree on the wire format. *)
 
 (** {1 The worker side} *)
 
@@ -154,7 +159,20 @@ val run : ?cancel:Budget.token -> config -> result
     / respawn / quarantine per the config, then merge. Raises
     [Invalid_argument] on a bad config, [Failure] when the clean design
     fails verification or when [cancel] fires (after draining every
-    worker to a valid journal footer; the shard journals are kept). *)
+    worker to a valid journal footer; the shard journals are kept).
+    The config check ({!Faultcamp.validate_params} on the campaign
+    parameters, plus the coordinator's own) runs before anything is
+    spawned or written. *)
+
+val workers_spawned : result -> int
+(** Workers spawned over the whole run (the sum of [s_attempts]). *)
+
+val quarantined : result -> int
+(** Shards quarantined; non-zero means the report is partial. *)
+
+val timing : result -> string
+(** {!Metrics.shard_timing} for [result] — machine-dependent, for a
+    diagnostic stream only. *)
 
 val render : ?verbose:bool -> result -> string
 (** {!Report.campaign} of the merged campaign, followed by an

@@ -25,8 +25,8 @@ let vecadd_case () =
 
 (* The worker binary, relative to the test runner's cwd
    (_build/default/test); the dune test stanza depends on it. *)
-let faultcamp_exe () =
-  let path = Filename.concat (Sys.getcwd ()) "../bin/faultcamp.exe" in
+let fpgatest_exe () =
+  let path = Filename.concat (Sys.getcwd ()) "../bin/fpgatest.exe" in
   if not (Sys.file_exists path) then
     Alcotest.fail ("worker binary not built: " ^ path);
   path
@@ -159,6 +159,8 @@ let test_worker_args_wire_format () =
         Shard.worker_args cfg ~baseline ~shard:1
           ~chaos_exec:(Some (Chaos.Kill_after 2))
       in
+      check_string "the campaign subcommand comes first" "campaign"
+        (List.hd args);
       let has flag = List.mem flag args in
       List.iter
         (fun flag -> check_bool flag true (has flag))
@@ -178,7 +180,7 @@ let test_worker_args_wire_format () =
 
 let coordinator_config ?chaos ~dir ~shards case =
   {
-    (Shard.default_config ~case ~dir ~worker_exe:(faultcamp_exe ())) with
+    (Shard.default_config ~case ~dir ~worker_exe:(fpgatest_exe ())) with
     Shard.seed = 5;
     faults = 12;
     shards;
@@ -280,6 +282,62 @@ let test_quarantine_degrades_to_partial_report () =
       check_bool "report carries the INTERRUPTED notice" true
         (contains "INTERRUPTED" rendered))
 
+let test_bad_parameter_rejected_before_spawning () =
+  (* A campaign parameter out of range is the config's fault, not the
+     workers': Shard.run must refuse it before it creates the shard
+     directory or spawns anything, rather than letting every worker die
+     on it and quarantining the shards. *)
+  with_temp_dir (fun dir ->
+      let cfg =
+        {
+          (Shard.default_config ~case:(gcd8_case ()) ~dir
+             ~worker_exe:"/bin/false")
+          with
+          Shard.slice_cycles = 0;
+          shards = 2;
+          watchdog_seconds = 2.;
+          respawn_backoff_seconds = 0.01;
+        }
+      in
+      check_bool "Invalid_argument" true
+        (match Shard.run cfg with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      check_bool "nothing written into dir" false (Sys.file_exists dir))
+
+let test_result_summary () =
+  let status i ~attempts ~quarantined =
+    {
+      Shard.s_index = i;
+      s_slice = (i, i + 1);
+      s_attempts = attempts;
+      s_deaths = attempts - 1;
+      s_quarantined = quarantined;
+      s_last_death = "";
+    }
+  in
+  let r =
+    {
+      Shard.campaign =
+        Faultcamp.run ~faults:0 ~backend:Faultcamp.Interp (gcd8_case ());
+      statuses =
+        [
+          status 0 ~attempts:1 ~quarantined:false;
+          status 1 ~attempts:3 ~quarantined:true;
+          status 2 ~attempts:2 ~quarantined:false;
+        ];
+      plan = 3;
+      respawns = 3;
+      wall_seconds = 1.5;
+    }
+  in
+  check_int "workers spawned" 6 (Shard.workers_spawned r);
+  check_int "quarantined" 1 (Shard.quarantined r);
+  check_string "timing line"
+    "coordinator: 3 shards, 6 workers spawned (3 respawns), 1 quarantined, \
+     wall 1.500s"
+    (Shard.timing r)
+
 let suite =
   [
     Alcotest.test_case "shard slice laws" `Quick test_shard_slice_laws;
@@ -290,6 +348,9 @@ let suite =
     Alcotest.test_case "pinned chaos seed 2" `Quick test_pinned_chaos_seed_2;
     Alcotest.test_case "worker args wire format" `Quick
       test_worker_args_wire_format;
+    Alcotest.test_case "shard result summary" `Quick test_result_summary;
+    Alcotest.test_case "bad parameter rejected before spawning" `Quick
+      test_bad_parameter_rejected_before_spawning;
     Alcotest.test_case "sharded report byte-identical" `Slow
       test_sharded_report_byte_identical;
     Alcotest.test_case "chaos recovery byte-identical" `Slow
