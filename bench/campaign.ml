@@ -358,9 +358,9 @@ let bench_shards () =
   end
 
 (* Translation-validation throughput: certify every builtin kernel with
-   all three transforming passes enabled (default decide engine) and
-   aggregate validator wall time per pass, plus the engine's per-stage
-   split — normalize / bit-blast / SAT-solve — from the {!Ec.Term.Stats}
+   all three transforming passes enabled and aggregate validator wall
+   time per pass, plus the decision procedure's per-stage split —
+   normalize / bit-blast / SAT-solve — from the {!Ec.Term.Stats}
    accumulator. The verdict counts double as a health check — a refuted
    or inconclusive certificate on a builtin kernel is a regression the
    tv test suite will also catch, but the benchmark surfaces it in the

@@ -675,13 +675,6 @@ let cmd_fuzz =
     Arg.(value & opt int 200_000 & info [ "max-cycles" ] ~docv:"N"
            ~doc:"Per-backend clock-cycle bound for each program.")
   in
-  let tv_engine_arg =
-    Arg.(value & opt string "decide"
-         & info [ "tv-engine" ] ~docv:"ENGINE"
-             ~doc:"Translation-validation engine the oracle certifies \
-                   with: $(b,decide) (default, SAT-backed) or \
-                   $(b,sample) (FNV sampling alone).")
-  in
   let shrink_class_arg =
     Arg.(value & opt (some string) None
          & info [ "shrink-class" ] ~docv:"CLASS"
@@ -690,8 +683,7 @@ let cmd_fuzz =
                    minimize a validator alarm); default: the \
                    lexicographically first class.")
   in
-  let run n seed backends max_shrink out replay max_cycles tv_engine
-      shrink_class =
+  let run n seed backends max_shrink out replay max_cycles shrink_class =
     handle_errors (fun () ->
         if n < 1 then begin
           Printf.eprintf "error: -n must be >= 1 (got %d)\n" n;
@@ -730,20 +722,10 @@ let cmd_fuzz =
           end;
           parsed
         in
-        let tv_engine =
-          match tv_engine with
-          | "decide" -> Tv.Decide
-          | "sample" -> Tv.Sample
-          | s ->
-              Printf.eprintf
-                "error: unknown --tv-engine %S (expected decide or sample)\n"
-                s;
-              exit 1
-        in
         match replay with
         | Some dir ->
             let results =
-              Fuzz.Driver.replay ~backends ~max_cycles ~tv_engine ~dir ()
+              Fuzz.Driver.replay ~backends ~max_cycles ~dir ()
             in
             if results = [] then begin
               Printf.eprintf "error: no .alg files in %s\n" dir;
@@ -771,7 +753,7 @@ let cmd_fuzz =
             let progress line = Printf.eprintf "%s\n%!" line in
             let stats =
               Fuzz.Driver.run ~n ~seed ~backends ~max_shrink ~max_cycles
-                ~tv_engine ?shrink_class ?out_dir:out ~progress ()
+                ?shrink_class ?out_dir:out ~progress ()
             in
             Printf.printf
               "fuzz: %d programs (seed %d): %d agreed, %d rejected, %d \
@@ -800,7 +782,7 @@ let cmd_fuzz =
              divergences are shrunk to minimal .alg reproducers.")
     Term.(
       const run $ n_arg $ seed_arg $ backends_arg $ max_shrink_arg $ out_arg
-      $ replay_arg $ fuzz_max_cycles_arg $ tv_engine_arg $ shrink_class_arg)
+      $ replay_arg $ fuzz_max_cycles_arg $ shrink_class_arg)
 
 (* --- tv ------------------------------------------------------------------ *)
 
@@ -841,25 +823,8 @@ let cmd_tv =
   let max_conflicts_arg =
     Arg.(value & opt int Tv.default_bounds.Tv.max_conflicts
          & info [ "max-conflicts" ] ~docv:"N"
-             ~doc:"SAT conflicts per decide-engine query before the \
+             ~doc:"SAT conflicts per equivalence query before the \
                    certificate reports inconclusive.")
-  in
-  let engine_arg =
-    let engine_conv =
-      Arg.conv
-        ( (fun s ->
-            match s with
-            | "sample" -> Ok Tv.Sample
-            | "decide" -> Ok Tv.Decide
-            | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))),
-          fun fmt e -> Format.pp_print_string fmt (Tv.engine_name e) )
-    in
-    Arg.(value & opt engine_conv Tv.Decide
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"Semantic-comparison engine: $(b,decide) (default) \
-                   settles every comparison with a bit-blasted SAT query \
-                   and certifies \"proved\"; $(b,sample) keeps the legacy \
-                   FNV sampler alone and certifies \"validated\".")
   in
   (* Each transforming pass must be certified at least once in isolation
      and once composed with the others — "plain" has nothing to
@@ -873,7 +838,7 @@ let cmd_tv =
     ]
   in
   let run paths builtin json no_timing max_pairs max_nodes samples
-      max_conflicts engine =
+      max_conflicts =
     handle_errors (fun () ->
         if paths = [] && not builtin then
           failwith "nothing to certify: pass program files or --builtin";
@@ -914,7 +879,7 @@ let cmd_tv =
                   let label = Printf.sprintf "%s/%s" name vname in
                   List.map
                     (fun r -> (label, r))
-                    (Compiler.Compile.certify ~bounds ~engine compiled))
+                    (Compiler.Compile.certify ~bounds compiled))
                 tv_variants)
             sources
         in
@@ -928,13 +893,12 @@ let cmd_tv =
         let verdict (r : Tv.report) =
           match r.Tv.cert with
           | Tv.Proved -> "proved"
-          | Tv.Validated -> "validated"
           | Tv.Refuted _ -> "refuted"
           | Tv.Inconclusive _ -> "inconclusive"
         in
         let detail (r : Tv.report) =
           match r.Tv.cert with
-          | Tv.Proved | Tv.Validated -> None
+          | Tv.Proved -> None
           | Tv.Refuted { witness } -> Some witness
           | Tv.Inconclusive { bound } -> Some bound
         in
@@ -946,11 +910,10 @@ let cmd_tv =
                   (fun (label, (r : Tv.report)) ->
                     Printf.sprintf
                       "  { \"label\": %S, \"configuration\": %S, \"pass\": \
-                       %S, \"engine\": %S, \"verdict\": %S%s, \"seconds\": \
-                       %.6f }"
+                       %S, \"verdict\": %S%s, \"seconds\": %.6f }"
                       label r.Tv.partition
                       (Tv.pass_name r.Tv.pass)
-                      (Tv.engine_name engine) (verdict r)
+                      (verdict r)
                       (match detail r with
                       | None -> ""
                       | Some d -> Printf.sprintf ", \"detail\": %S" d)
@@ -971,24 +934,16 @@ let cmd_tv =
             List.length (List.filter (fun (_, r) -> pred r) reports)
           in
           Printf.printf
-            "%d certificate(s): %d proved, %d validated, %d refuted, %d \
-             inconclusive\n"
+            "%d certificate(s): %d proved, %d refuted, %d inconclusive\n"
             (List.length reports)
             (count (fun r -> r.Tv.cert = Tv.Proved))
-            (count (fun r -> r.Tv.cert = Tv.Validated))
             (count (fun r ->
                  match r.Tv.cert with Tv.Refuted _ -> true | _ -> false))
             (count (fun r ->
                  match r.Tv.cert with Tv.Inconclusive _ -> true | _ -> false))
         end;
         exit
-          (if
-             List.for_all
-               (fun (_, (r : Tv.report)) ->
-                 match r.Tv.cert with
-                 | Tv.Proved | Tv.Validated -> true
-                 | Tv.Refuted _ | Tv.Inconclusive _ -> false)
-               reports
+          (if List.for_all (fun (_, r) -> r.Tv.cert = Tv.Proved) reports
            then 0
            else 1))
   in
@@ -998,15 +953,13 @@ let cmd_tv =
              transforming-pass variant and certify each enabled pass \
              equivalent to its input (simulation relation at source \
              level, lockstep or stuttering FSMD product at hardware \
-             level). The default $(b,decide) engine discharges every \
-             semantic comparison with a bit-blasted SAT query, so a \
-             certificate reads \"proved\", not merely \"validated\". \
-             Exits non-zero unless every certificate is proved or \
-             validated.")
+             level). Every semantic comparison is settled by a \
+             bit-blasted SAT query, so \"proved\" means equivalent for \
+             every input. Exits non-zero unless every certificate is \
+             proved.")
     Term.(
       const run $ paths_arg $ builtin_arg $ json_arg $ no_timing_arg
-      $ max_pairs_arg $ max_nodes_arg $ samples_arg $ max_conflicts_arg
-      $ engine_arg)
+      $ max_pairs_arg $ max_nodes_arg $ samples_arg $ max_conflicts_arg)
 
 (* --- campaign ------------------------------------------------------------ *)
 

@@ -21,7 +21,6 @@ type t = {
   partitions : partition list;
   rtg : Rtg.t;
   mutable tv : Tv.report list;
-  mutable tv_engine : Tv.engine option;
 }
 
 exception Error of string list
@@ -174,8 +173,8 @@ let readonly_mem_inits prog =
       else Some (m.Ast.mem_name, m.Ast.mem_init))
     prog.Ast.mems
 
-let certify ?bounds ?(engine = Tv.Decide) t =
-  if t.tv <> [] && t.tv_engine = Some engine then t.tv
+let certify ?bounds t =
+  if bounds = None && t.tv <> [] then t.tv
   else
     let prog = t.program in
     let width = prog.Ast.prog_width in
@@ -194,9 +193,9 @@ let certify ?bounds ?(engine = Tv.Decide) t =
     in
     let mem_inits = readonly_mem_inits prog in
     let timed f =
-      let t0 = Sys.time () in
+      let t0 = Monotonic_clock.now () in
       let cert = f () in
-      (cert, Sys.time () -. t0)
+      (cert, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
     in
     let reports =
       List.concat_map
@@ -220,13 +219,13 @@ let certify ?bounds ?(engine = Tv.Decide) t =
           if t.options.optimize then
             push Tv.Optimize_pass
               (timed (fun () ->
-                   Tv.validate_source ?bounds ~engine ~width
+                   Tv.validate_source ?bounds ~width
                      ~pre:(graph_of_cfg (Cfg.build (List.nth source_parts p.index)))
                      ~post:(graph_of_cfg p.cfg) ()));
           if t.options.share_operators then
             push Tv.Share_pass
               (timed (fun () ->
-                   Tv.validate_hardware ?bounds ~engine ~memories:mem_inits
+                   Tv.validate_hardware ?bounds ~memories:mem_inits
                      ~pass:Tv.Share_pass
                      ~reference:
                        (generate ~share:false ~fold:t.options.fold_branches)
@@ -234,7 +233,7 @@ let certify ?bounds ?(engine = Tv.Decide) t =
           if t.options.fold_branches then
             push Tv.Fold_pass
               (timed (fun () ->
-                   Tv.validate_hardware ?bounds ~engine ~memories:mem_inits
+                   Tv.validate_hardware ?bounds ~memories:mem_inits
                      ~pass:Tv.Fold_pass
                      ~reference:
                        (generate ~share:t.options.share_operators ~fold:false)
@@ -242,8 +241,9 @@ let certify ?bounds ?(engine = Tv.Decide) t =
           List.rev !reps)
         t.partitions
     in
-    t.tv <- reports;
-    t.tv_engine <- Some engine;
+    (* Only default-bounds certificates are cached: a call with explicit
+       bounds may reach a different verdict. *)
+    if bounds = None then t.tv <- reports;
     reports
 
 let lint_deep t =
@@ -338,7 +338,6 @@ let compile ?(options = default_options) ?(deep_gate = false)
       partitions;
       rtg;
       tv = [];
-      tv_engine = None;
     }
   in
   let gate_diags =

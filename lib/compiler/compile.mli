@@ -44,10 +44,9 @@ type t = {
   partitions : partition list;
   rtg : Rtg.t;
   mutable tv : Tv.report list;
-      (** Per-pass translation-validation certificates, filled by
-          {!certify} (empty until requested). *)
-  mutable tv_engine : Tv.engine option;
-      (** Engine the cached certificates were produced with. *)
+      (** Per-pass translation-validation certificates under
+          {!Tv.default_bounds}, filled by {!certify} (empty until
+          requested). *)
 }
 
 exception Error of string list
@@ -68,7 +67,7 @@ val compile :
     compile-time gate ({!Tv.Inconclusive} passes the gate; it is a
     resource verdict, surfaced as a TV002 warning by {!lint_deep}). *)
 
-val certify : ?bounds:Tv.bounds -> ?engine:Tv.engine -> t -> Tv.report list
+val certify : ?bounds:Tv.bounds -> t -> Tv.report list
 (** One certificate per enabled transforming pass per partition, in
     pipeline order (optimize, share, fold): the {!Optimize} rewrite is
     validated against the pre-pass CFG by {!Tv.validate_source}; the
@@ -76,10 +75,10 @@ val certify : ?bounds:Tv.bounds -> ?engine:Tv.engine -> t -> Tv.report list
     regenerated reference hardware (the same partition CFG with the pass
     under scrutiny disabled) by {!Tv.validate_hardware}, including the
     {!Absint} invariant-preservation query over the program's read-only
-    memories. [engine] defaults to {!Tv.Decide} (SAT-backed {!Tv.Proved}
-    certificates); results are cached on [t.tv] keyed by the engine
-    that produced them — asking again with the other engine re-runs the
-    validators. An empty list means no transforming pass was enabled. *)
+    memories. A call without [bounds] is served from, and stored in,
+    the [t.tv] cache; a call with explicit [bounds] always re-runs the
+    validators and leaves the cache alone. An empty list means no
+    transforming pass was enabled. *)
 
 val lint : t -> Diag.t list
 (** Whole-design lint of the generated bundle ({!Lint.run_bundle} over

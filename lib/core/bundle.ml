@@ -1,5 +1,6 @@
 module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
+module Opkind = Operators.Opkind
 module Opspec = Operators.Opspec
 module Compile = Compiler.Compile
 
@@ -74,8 +75,8 @@ let memories_of_bundle bundle =
     (fun (_, (dp : Dp.t)) ->
       List.iter
         (fun (op : Dp.operator) ->
-          match op.Dp.kind with
-          | "sram" | "rom" -> (
+          match Opkind.of_string op.Dp.kind with
+          | Some (Opkind.Sram | Opkind.Rom) -> (
               let name = Opspec.require_string op.Dp.params ~kind:op.Dp.kind "memory" in
               let size = Opspec.param_int op.Dp.params "size" ~default:0 in
               let decl = (size, op.Dp.width) in

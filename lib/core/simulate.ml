@@ -61,7 +61,7 @@ let run_engine ?budget ~clock_period ~max_time engine =
 
 let run_configuration ?(clock_period = 10) ?(max_cycles = 10_000_000)
     ?vcd_path ?name ?(injections = []) ?budget ~memories datapath fsm =
-  let started = Sys.time () in
+  let started = Monotonic_clock.now () in
   let cfg_label =
     match name with Some n -> n | None -> datapath.Netlist.Datapath.dp_name
   in
@@ -106,7 +106,8 @@ let run_configuration ?(clock_period = 10) ?(max_cycles = 10_000_000)
     cycles = Fsm_exec.cycles_seen controller;
     sim_stats = Engine.stats engine;
     final_state = Fsm_exec.current_state controller;
-    wall_seconds = Sys.time () -. started;
+    wall_seconds =
+      Int64.to_float (Int64.sub (Monotonic_clock.now ()) started) *. 1e-9;
     notifications = Models_log.all design.Elaborate.notifications;
     budget_failure;
   }

@@ -24,7 +24,7 @@ type config_run = {
   cycles : int;  (** Clock cycles consumed. *)
   sim_stats : Sim.Engine.stats;
   final_state : string;
-  wall_seconds : float;  (** Host CPU time for this configuration. *)
+  wall_seconds : float;  (** Wall time (monotonic clock) for this configuration. *)
   notifications : Operators.Models.notification list;
   budget_failure : Budget.failure option;
       (** [Some Timeout_wall] when the watchdog deadline ended the run,

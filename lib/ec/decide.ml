@@ -72,9 +72,6 @@ let sample_hunt ~samples a b =
   in
   go 0
 
-let sample_only ~samples a b =
-  if T.equal a b then None else sample_hunt ~samples a b
-
 (* ------------------------------------------------------------------ *)
 (* Bit blasting (Tseitin). Words are literal arrays, LSB first.         *)
 

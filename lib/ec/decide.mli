@@ -45,7 +45,3 @@ val decide : ?samples:int -> ?max_conflicts:int -> Term.t -> Term.t -> outcome
     {!Bitvec.Width_error} on a width mismatch — two cones feeding the
     same architectural element can only differ in width through a
     malformed document). Defaults: 17 samples, 100_000 conflicts. *)
-
-val sample_only : samples:int -> Term.t -> Term.t -> witness option
-(** Just stages 1–2 (structural, sampling): [None] means every sampled
-    world agreed — the legacy evidence-only verdict. *)

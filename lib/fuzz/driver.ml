@@ -35,8 +35,7 @@ let corpus_header ~seed ~index ~d_class ~detail ~original ~shrunk =
     d_class seed index detail original shrunk
 
 let run ?(n = 100) ?(seed = 0) ?(backends = Oracle.all_backends)
-    ?(max_shrink = 1500) ?(max_cycles = 200_000) ?(tv_engine = Tv.Decide)
-    ?shrink_class ?out_dir ?(progress = fun _ -> ()) () =
+    ?(max_shrink = 1500) ?(max_cycles = 200_000) ?shrink_class ?out_dir ?(progress = fun _ -> ()) () =
   let t0 = Unix.gettimeofday () in
   let agreed = ref 0 and rejected = ref 0 in
   let divergences = ref [] in
@@ -48,7 +47,7 @@ let run ?(n = 100) ?(seed = 0) ?(backends = Oracle.all_backends)
            i n !agreed !rejected
            (List.length !divergences));
     let prog = Gen.program ~seed ~index:i () in
-    match Oracle.run ~backends ~max_cycles ~tv_engine prog with
+    match Oracle.run ~backends ~max_cycles prog with
     | Oracle.Rejected _ -> incr rejected
     | Oracle.Agree -> incr agreed
     | Oracle.Diverged ds ->
@@ -72,7 +71,7 @@ let run ?(n = 100) ?(seed = 0) ?(backends = Oracle.all_backends)
           (Printf.sprintf "fuzz: divergence at program %d: %s (%s)" i d_class
              detail);
         let keep p =
-          match Oracle.run ~backends ~max_cycles ~tv_engine p with
+          match Oracle.run ~backends ~max_cycles p with
           | Oracle.Diverged ds' ->
               List.mem d_class (Oracle.classes (Oracle.Diverged ds'))
           | Oracle.Agree | Oracle.Rejected _ -> false
@@ -133,8 +132,7 @@ let run ?(n = 100) ?(seed = 0) ?(backends = Oracle.all_backends)
        (List.length s.divergences));
   s
 
-let replay ?(backends = Oracle.all_backends) ?(max_cycles = 200_000)
-    ?(tv_engine = Tv.Decide) ~dir () =
+let replay ?(backends = Oracle.all_backends) ?(max_cycles = 200_000) ~dir () =
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".alg")
@@ -150,7 +148,7 @@ let replay ?(backends = Oracle.all_backends) ?(max_cycles = 200_000)
               (Option.value
                  ~default:(Printexc.to_string e)
                  (Lang.Parser.error_to_string e))
-        | prog -> Oracle.run ~backends ~max_cycles ~tv_engine prog
+        | prog -> Oracle.run ~backends ~max_cycles prog
       in
       (f, verdict))
     files

@@ -41,16 +41,14 @@ val run :
   ?backends:Oracle.backend list ->
   ?max_shrink:int ->
   ?max_cycles:int ->
-  ?tv_engine:Tv.engine ->
   ?shrink_class:string ->
   ?out_dir:string ->
   ?progress:(string -> unit) ->
   unit ->
   stats
-(** Deterministic in [(n, seed, backends, tv_engine)]. [progress]
+(** Deterministic in [(n, seed, backends)]. [progress]
     receives journal-style one-liners (periodic counters, each
-    divergence, each corpus write). [tv_engine] selects the certificate
-    engine the oracle runs (default {!Tv.Decide}). [shrink_class]
+    divergence, each corpus write). [shrink_class]
     chooses which divergence class the shrinker must preserve when a
     program exhibits several (e.g. ["share/tv/share"] to minimize a
     validator alarm specifically); when absent — or the program does
@@ -60,7 +58,6 @@ val run :
 val replay :
   ?backends:Oracle.backend list ->
   ?max_cycles:int ->
-  ?tv_engine:Tv.engine ->
   dir:string ->
   unit ->
   (string * Oracle.verdict) list

@@ -189,8 +189,7 @@ let run_golden ~max_statements prog =
   }
 
 let run ?(backends = all_backends) ?(max_cycles = 200_000)
-    ?(max_statements = 400_000) ?(tv_engine = Tv.Decide)
-    (prog : Lang.Ast.program) =
+    ?(max_statements = 400_000) (prog : Lang.Ast.program) =
   match Lang.Check.check prog with
   | _ :: _ as msgs -> Rejected ("check: " ^ String.concat "; " msgs)
   | [] -> (
@@ -230,9 +229,8 @@ let run ?(backends = all_backends) ?(max_cycles = 200_000)
                               add v_name "tv" (Tv.pass_name r.Tv.pass)
                                 (Printf.sprintf "%s: %s" r.Tv.partition
                                    witness)
-                          | Tv.Validated | Tv.Proved | Tv.Inconclusive _ ->
-                              ())
-                        (Compile.certify ~engine:tv_engine compiled);
+                          | Tv.Proved | Tv.Inconclusive _ -> ())
+                        (Compile.certify compiled);
                       match run_event ~max_cycles prog compiled with
                       | exception e ->
                           add v_name "event" "crash" (Printexc.to_string e)

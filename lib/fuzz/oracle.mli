@@ -82,11 +82,9 @@ val run :
   ?backends:backend list ->
   ?max_cycles:int ->
   ?max_statements:int ->
-  ?tv_engine:Tv.engine ->
   Lang.Ast.program ->
   verdict
 (** Golden first (cheap, bounds runaway shrink candidates), then each
     compilation variant through the selected backends. Backend crashes
     and compile failures on check-clean programs are reported as
-    divergences (class ".../crash"), never raised. [tv_engine] selects
-    the certificate engine (default {!Tv.Decide}, the sound one). *)
+    divergences (class ".../crash"), never raised. *)

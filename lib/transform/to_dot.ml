@@ -2,11 +2,7 @@ module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Dot = Dotkit.Dot
-
-let memory_kinds = [ "sram"; "rom" ]
-let is_test_aid kind =
-  Option.fold ~none:false ~some:Operators.Opkind.is_test_aid
-    (Operators.Opkind.of_string kind)
+module Opkind = Operators.Opkind
 
 let datapath (dp : Dp.t) =
   let g =
@@ -18,13 +14,13 @@ let datapath (dp : Dp.t) =
     (fun (op : Dp.operator) ->
       let label = Printf.sprintf "%s\n%s/%d" op.Dp.id op.Dp.kind op.Dp.width in
       let attrs =
-        if List.mem op.Dp.kind memory_kinds then
-          [ ("shape", "box3d"); ("label", label) ]
-        else if is_test_aid op.Dp.kind then
-          [ ("shape", "box"); ("style", "dashed"); ("label", label) ]
-        else if op.Dp.kind = "const" then
-          [ ("shape", "plaintext"); ("label", label) ]
-        else [ ("shape", "box"); ("label", label) ]
+        match Opkind.of_string op.Dp.kind with
+        | Some (Opkind.Sram | Opkind.Rom) ->
+            [ ("shape", "box3d"); ("label", label) ]
+        | Some k when Opkind.is_test_aid k ->
+            [ ("shape", "box"); ("style", "dashed"); ("label", label) ]
+        | Some Opkind.Const -> [ ("shape", "plaintext"); ("label", label) ]
+        | _ -> [ ("shape", "box"); ("label", label) ]
       in
       Dot.add_node g op.Dp.id ~attrs)
     dp.Dp.operators;

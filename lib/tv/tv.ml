@@ -15,14 +15,9 @@ let pass_name = function
   | Fold_pass -> "fold"
 
 type cert =
-  | Validated
   | Proved
   | Refuted of { witness : string }
   | Inconclusive of { bound : string }
-
-type engine = Sample | Decide
-
-let engine_name = function Sample -> "sample" | Decide -> "decide"
 
 type report = {
   partition : string;
@@ -42,10 +37,6 @@ let to_diag r =
       Diag.note ~code:"TV003" ~loc
         "translation proved: pass output equivalent to its input for \
          every input"
-  | Validated ->
-      Diag.note ~code:"TV003" ~loc
-        "translation validated: pass output equivalent to its input on \
-         every sample"
   | Refuted { witness } ->
       Diag.error ~code:"TV001" ~loc
         ~hint:
@@ -76,47 +67,32 @@ exception Bound of string
 
 (* Both the source expressions and the hardware cones are rebuilt as
    {!Ec.Term}s — normalizing, hash-consed — and every semantic
-   comparison goes through one engine:
+   comparison goes through the staged pipeline of {!Ec.decide}:
+   structural, sampling as a counterexample pre-filter, then
+   bit-blasted SAT; a verdict is a proof ([Proved]) or a replayed
+   concrete witness. *)
 
-   - [Sample]: structural equality then the deterministic FNV worlds of
-     {!Ec.Sampler}; agreement on every sample is evidence ([Validated]).
-   - [Decide]: the staged pipeline of {!Ec.decide} — structural,
-     sampling as a counterexample pre-filter, then bit-blasted SAT; a
-     verdict is a proof ([Proved]) or a replayed concrete witness. *)
-
-(* [Some b] when the engine can settle the 1-bit term to the constant
-   [b] — the license to follow a branch the pass folded away. In
-   sampling mode this is "constant on every sample"; in decide mode it
-   is a proof. [unknown] collects solver give-ups so the caller can
-   turn a failed search into [Inconclusive] instead of [Refuted]. *)
-let term_const_bool ~engine ~bounds ~unknown t =
-  match engine with
-  | Sample ->
-      let v0 = Bitvec.to_bool (Et.eval (Et.sample_env 0) t) in
-      let rec go k =
-        if k >= max 1 bounds.samples then Some v0
-        else if Bitvec.to_bool (Et.eval (Et.sample_env k) t) = v0 then
-          go (k + 1)
-        else None
-      in
-      go 1
-  | Decide -> (
-      let decide v =
-        Ec.decide ~samples:bounds.samples ~max_conflicts:bounds.max_conflicts
-          t (Et.const ~width:1 (if v then 1 else 0))
-      in
-      match decide true with
-      | Ec.Proved _ -> Some true
-      | Ec.Refuted _ -> (
-          match decide false with
-          | Ec.Proved _ -> Some false
-          | Ec.Refuted _ -> None
-          | Ec.Unknown r ->
-              unknown := Some r;
-              None)
+(* [Some b] when the 1-bit term is proved to be the constant [b] — the
+   license to follow a branch the pass folded away. [unknown] collects
+   solver give-ups so the caller can turn a failed search into
+   [Inconclusive] instead of [Refuted]. *)
+let term_const_bool ~bounds ~unknown t =
+  let decide v =
+    Ec.decide ~samples:bounds.samples ~max_conflicts:bounds.max_conflicts t
+      (Et.const ~width:1 (if v then 1 else 0))
+  in
+  match decide true with
+  | Ec.Proved _ -> Some true
+  | Ec.Refuted _ -> (
+      match decide false with
+      | Ec.Proved _ -> Some false
+      | Ec.Refuted _ -> None
       | Ec.Unknown r ->
           unknown := Some r;
           None)
+  | Ec.Unknown r ->
+      unknown := Some r;
+      None
 
 (* ------------------------------------------------------------------ *)
 (* Pure source expressions as terms                                     *)
@@ -216,7 +192,7 @@ let event_to_string = function
       Printf.sprintf "%s[%s] = %s" m (expr_to_string a) (expr_to_string x)
   | Echeck c -> Printf.sprintf "assert %s" (cond_to_string c)
 
-let validate_source_in ~bounds ~engine ~width ~pre ~post () =
+let validate_source_in ~bounds ~width ~pre ~post () =
   let unknown = ref None in
   let note_unknown r = if !unknown = None then unknown := Some r in
   (* Naming: source variables share their name across the two sides;
@@ -231,18 +207,15 @@ let validate_source_in ~bounds ~engine ~width ~pre ~post () =
     else "v:" ^ name
   in
   let equiv_term t_pre t_post =
-    match engine with
-    | Sample -> Ec.sample_only ~samples:bounds.samples t_pre t_post = None
-    | Decide -> (
-        match
-          Ec.decide ~samples:bounds.samples
-            ~max_conflicts:bounds.max_conflicts t_pre t_post
-        with
-        | Ec.Proved _ -> true
-        | Ec.Refuted _ -> false
-        | Ec.Unknown r ->
-            note_unknown r;
-            false)
+    match
+      Ec.decide ~samples:bounds.samples ~max_conflicts:bounds.max_conflicts
+        t_pre t_post
+    with
+    | Ec.Proved _ -> true
+    | Ec.Refuted _ -> false
+    | Ec.Unknown r ->
+        note_unknown r;
+        false
   in
   let equiv_expr tmap e_pre e_post =
     equiv_term
@@ -257,7 +230,7 @@ let validate_source_in ~bounds ~engine ~width ~pre ~post () =
   let cond_const tmap c =
     let unk = ref None in
     let r =
-      term_const_bool ~engine ~bounds ~unknown:unk
+      term_const_bool ~bounds ~unknown:unk
         (term_of_cond ~width (name_pre tmap) c)
     in
     (match !unk with Some u -> note_unknown u | None -> ());
@@ -405,8 +378,7 @@ let validate_source_in ~bounds ~engine ~width ~pre ~post () =
           (Printf.sprintf "terminators at %s and %s differ"
              (pos_desc "pre" ppre) (pos_desc "post" ppost))
   in
-  if sim 0 (pre.entry, 0) (post.entry, 0) [] then
-    match engine with Decide -> Proved | Sample -> Validated
+  if sim 0 (pre.entry, 0) (post.entry, 0) [] then Proved
   else
     match !unknown with
     | Some r ->
@@ -422,13 +394,12 @@ let validate_source_in ~bounds ~engine ~width ~pre ~post () =
           }
     | None -> Refuted { witness = snd !deepest }
 
-let validate_source ?(bounds = default_bounds) ?(engine = Decide) ~width ~pre
-    ~post () =
+let validate_source ?(bounds = default_bounds) ~width ~pre ~post () =
   Et.set_node_limit (Some bounds.max_nodes);
   Fun.protect
     ~finally:(fun () -> Et.set_node_limit None)
     (fun () ->
-      try validate_source_in ~bounds ~engine ~width ~pre ~post ()
+      try validate_source_in ~bounds ~width ~pre ~post ()
       with
       | Bound b -> Inconclusive { bound = b }
       | Et.Node_limit n ->
@@ -540,15 +511,11 @@ let term_of_sexp s =
 
 let is_zero_const = function Sconst (_, 0) -> true | _ -> false
 
-(* The comparison engine and its budgets, threaded through the product
-   constructions. *)
-type cmp = { engine : engine; bounds : bounds }
-
 (* Semantic cone comparison. A disagreement raises [Refute] with the
    concrete replayed witness; a solver give-up raises [Bound] naming
    the budget, the element and the conflicts spent ([validate_hardware]
    adds the pass and the cone-node count). *)
-let check_equiv ~cmp ~state ~what r c =
+let check_equiv ~bounds ~state ~what r c =
   let tr = term_of_sexp r and tc = term_of_sexp c in
   let refute w =
     raise
@@ -556,24 +523,17 @@ let check_equiv ~cmp ~state ~what r c =
          (Printf.sprintf "state %s: %s disagrees: %s" state what
             (Ec.witness_to_string w)))
   in
-  match cmp.engine with
-  | Sample -> (
-      match Ec.sample_only ~samples:cmp.bounds.samples tr tc with
-      | None -> ()
-      | Some w -> refute w)
-  | Decide -> (
-      match
-        Ec.decide ~samples:cmp.bounds.samples
-          ~max_conflicts:cmp.bounds.max_conflicts tr tc
-      with
-      | Ec.Proved _ -> ()
-      | Ec.Refuted w -> refute w
-      | Ec.Unknown re ->
-          raise
-            (Bound
-               (Printf.sprintf
-                  "%s deciding %s at state %s (%d solver conflicts)"
-                  re.Ec.cause what state re.Ec.conflicts)))
+  match
+    Ec.decide ~samples:bounds.samples ~max_conflicts:bounds.max_conflicts tr
+      tc
+  with
+  | Ec.Proved _ -> ()
+  | Ec.Refuted w -> refute w
+  | Ec.Unknown re ->
+      raise
+        (Bound
+           (Printf.sprintf "%s deciding %s at state %s (%d solver conflicts)"
+              re.Ec.cause what state re.Ec.conflicts))
 
 (* ------------------------------------------------------------------ *)
 (* Per-state effect comparison (shared by lockstep and stuttering)      *)
@@ -618,8 +578,8 @@ let match_by ~state ~what key ref_ops cand_ops f =
                 state what (key co))))
     cand_ops
 
-let compare_effects ~cmp ~state (rc : hw_ctx) (cc : hw_ctx) =
-  let chk = check_equiv ~cmp ~state in
+let compare_effects ~bounds ~state (rc : hw_ctx) (cc : hw_ctx) =
+  let chk = check_equiv ~bounds ~state in
   let cone_r = cone rc and cone_c = cone cc in
   let name (o : Elab.op) = o.Elab.name in
   let pair = match_by ~state in
@@ -695,7 +655,7 @@ let status_cone (ctx : hw_ctx) name =
    the reference cones — identity in lockstep, the fold witness's
    register substitution in stuttering. [rename] maps reference targets
    into the candidate's state space (identity except for fold). *)
-let compare_transitions ~cmp ~state ?(subst_ref = fun s -> s)
+let compare_transitions ~bounds ~state ?(subst_ref = fun s -> s)
     ?(rename = fun t -> t) rc cc (rs : Fsm.state) (cs : Fsm.state) =
   if List.length rs.Fsm.transitions <> List.length cs.Fsm.transitions then
     raise
@@ -718,7 +678,7 @@ let compare_transitions ~cmp ~state ?(subst_ref = fun s -> s)
                 (Guard.to_string ct.Fsm.guard)));
       List.iter
         (fun sig_name ->
-          check_equiv ~cmp ~state
+          check_equiv ~bounds ~state
             ~what:(Printf.sprintf "status %s (guard %S)" sig_name
                      (Guard.to_string rt.Fsm.guard))
             (subst_ref (status_cone rc sig_name))
@@ -729,7 +689,7 @@ let compare_transitions ~cmp ~state ?(subst_ref = fun s -> s)
 (* ------------------------------------------------------------------ *)
 (* Share pass: lockstep product                                         *)
 
-let lockstep ~cmp ~nodes rside cside =
+let lockstep ~(bounds : bounds) ~nodes rside cside =
   if rside.fsm.Fsm.initial <> cside.fsm.Fsm.initial then
     raise
       (Refute
@@ -749,10 +709,10 @@ let lockstep ~cmp ~nodes rside cside =
       if rs.Fsm.is_done <> cs.Fsm.is_done then
         raise
           (Refute (Printf.sprintf "state %s: done flags differ" rs.Fsm.sname));
-      let rc = state_ctx ~nodes ~max_nodes:cmp.bounds.max_nodes rside rs
-      and cc = state_ctx ~nodes ~max_nodes:cmp.bounds.max_nodes cside cs in
-      compare_effects ~cmp ~state:rs.Fsm.sname rc cc;
-      compare_transitions ~cmp ~state:rs.Fsm.sname rc cc rs cs)
+      let rc = state_ctx ~nodes ~max_nodes:bounds.max_nodes rside rs
+      and cc = state_ctx ~nodes ~max_nodes:bounds.max_nodes cside cs in
+      compare_effects ~bounds ~state:rs.Fsm.sname rc cc;
+      compare_transitions ~bounds ~state:rs.Fsm.sname rc cc rs cs)
     rside.fsm.Fsm.states
 
 (* ------------------------------------------------------------------ *)
@@ -871,8 +831,8 @@ let fold_subst (ctx : hw_ctx) state =
   in
   apply
 
-let stutter ~cmp ~nodes rside cside =
-  let ctx side st = state_ctx ~nodes ~max_nodes:cmp.bounds.max_nodes side st in
+let stutter ~(bounds : bounds) ~nodes rside cside =
+  let ctx side st = state_ctx ~nodes ~max_nodes:bounds.max_nodes side st in
   if rside.fsm.Fsm.initial <> cside.fsm.Fsm.initial then
     raise (Refute "the fold moved the initial state");
   let consumed = Hashtbl.create 8 in
@@ -890,7 +850,7 @@ let stutter ~cmp ~nodes rside cside =
               (Refute
                  (Printf.sprintf "state %s: done flags differ" fs.Fsm.sname));
           let rc = ctx rside us and cc = ctx cside fs in
-          compare_effects ~cmp ~state:fs.Fsm.sname rc cc;
+          compare_effects ~bounds ~state:fs.Fsm.sname rc cc;
           match us.Fsm.transitions with
           | [ { Fsm.guard = Guard.True; target = x } ]
             when Fsm.find_state cside.fsm x = None -> (
@@ -911,11 +871,11 @@ let stutter ~cmp ~nodes rside cside =
                   assert_effect_free rcx x;
                   Hashtbl.replace consumed x ();
                   let subst_ref = fold_subst rc us.Fsm.sname in
-                  compare_transitions ~cmp
+                  compare_transitions ~bounds
                     ~state:
                       (Printf.sprintf "%s (absorbing %s)" fs.Fsm.sname x)
                     ~subst_ref rcx cc xs fs)
-          | _ -> compare_transitions ~cmp ~state:fs.Fsm.sname rc cc us fs))
+          | _ -> compare_transitions ~bounds ~state:fs.Fsm.sname rc cc us fs))
     cside.fsm.Fsm.states;
   List.iter
     (fun (us : Fsm.state) ->
@@ -993,10 +953,9 @@ let invariants_preserved ?memories rside cside =
 
 (* ------------------------------------------------------------------ *)
 
-let validate_hardware ?(bounds = default_bounds) ?(engine = Decide) ?memories
-    ~pass ~reference ~candidate () =
+let validate_hardware ?(bounds = default_bounds) ?memories ~pass ~reference
+    ~candidate () =
   let rside = make_side reference and cside = make_side candidate in
-  let cmp = { engine; bounds } in
   let nodes = ref 0 in
   Et.set_node_limit (Some bounds.max_nodes);
   Fun.protect ~finally:(fun () -> Et.set_node_limit None) @@ fun () ->
@@ -1005,10 +964,10 @@ let validate_hardware ?(bounds = default_bounds) ?(engine = Decide) ?memories
     | Optimize_pass ->
         invalid_arg
           "Tv.validate_hardware: Optimize_pass is validated at source level"
-    | Share_pass -> lockstep ~cmp ~nodes rside cside
-    | Fold_pass -> stutter ~cmp ~nodes rside cside);
+    | Share_pass -> lockstep ~bounds ~nodes rside cside
+    | Fold_pass -> stutter ~bounds ~nodes rside cside);
     invariants_preserved ?memories rside cside;
-    match engine with Decide -> Proved | Sample -> Validated
+    Proved
   with
   | Refute witness -> Refuted { witness }
   | Bound bound ->

@@ -34,16 +34,14 @@
       muxes widen address cones), so a lost proof undecides
       equivalence without witnessing a disagreement.
 
-    Semantic comparison is staged: structural equality on hash-consed
-    normalized terms first, then deterministic FNV sampling as a cheap
-    counterexample hunt, then — under the default {!Decide} engine — a
-    bit-blasted SAT query through {!Ec.decide} that settles the
-    equivalence for {e every} input. A disagreement is reported as
-    {!Refuted} with a concrete replayed witness; an exhausted search,
-    node or conflict budget turns into {!Inconclusive} — a resource
-    verdict naming the offending pass, state and budget, not a
-    failure. The legacy sampling-only behaviour remains available as
-    the {!Sample} engine. *)
+    Semantic comparison is staged through {!Ec.decide}: structural
+    equality on hash-consed normalized terms first, then deterministic
+    FNV sampling as a cheap counterexample hunt, then a bit-blasted SAT
+    query that settles the equivalence for {e every} input. A
+    disagreement is reported as {!Refuted} with a concrete replayed
+    witness; an exhausted search, node or conflict budget turns into
+    {!Inconclusive} — a resource verdict naming the offending pass,
+    state and budget, not a failure. *)
 
 (** The three transforming stages of {!Compile.compile}. *)
 type pass = Optimize_pass | Share_pass | Fold_pass
@@ -52,13 +50,10 @@ val pass_name : pass -> string
 (** ["optimize"], ["share"], ["fold"]. *)
 
 type cert =
-  | Validated
-      (** Equivalence established on every sample at the configured
-          budget ({!Sample} engine only — not a proof). *)
   | Proved
       (** Equivalence established for every input: each semantic
           comparison was settled structurally or by an unsatisfiable
-          SAT query ({!Decide} engine). *)
+          SAT query. *)
   | Refuted of { witness : string }
       (** A concrete disagreement: the witnessing position/state,
           element and a replayed assignment with both values. *)
@@ -67,25 +62,16 @@ type cert =
           verdict; names the exceeded bound, the offending pass/state
           and the work done. *)
 
-(** The semantic-comparison engine: {!Sample} is the legacy FNV
-    sampler alone (cheap, refutation-only confidence); {!Decide} — the
-    default — additionally settles every comparison with a bit-blasted
-    SAT query, upgrading the verdict to {!Proved}. *)
-type engine = Sample | Decide
-
-val engine_name : engine -> string
-(** ["sample"], ["decide"]. *)
-
 type report = {
   partition : string;  (** Configuration name the certificate covers. *)
   pass : pass;
   cert : cert;
-  seconds : float;  (** Validator wall time ({!Sys.time}). *)
+  seconds : float;  (** Validator wall time (monotonic clock). *)
 }
 
 val to_diag : report -> Diag.t
 (** [TV001] error for {!Refuted}, [TV002] warning for {!Inconclusive},
-    [TV003] note for {!Proved} and {!Validated}. *)
+    [TV003] note for {!Proved}. *)
 
 type bounds = {
   max_pairs : int;
@@ -95,11 +81,10 @@ type bounds = {
       (** Symbolic cone/term nodes built per validation before the
           check gives up. *)
   samples : int;
-      (** Concrete samples per semantic comparison (the {!Decide}
-          engine uses them as a pre-filter). *)
+      (** Concrete samples per semantic comparison, the counterexample
+          pre-filter run before the SAT query. *)
   max_conflicts : int;
-      (** SAT conflicts per {!Decide} query before it returns
-          {!Inconclusive}. *)
+      (** SAT conflicts per query before it returns {!Inconclusive}. *)
 }
 
 val default_bounds : bounds
@@ -128,7 +113,6 @@ type graph = { blocks : block array; entry : int }
 
 val validate_source :
   ?bounds:bounds ->
-  ?engine:engine ->
   width:int ->
   pre:graph ->
   post:graph ->
@@ -138,14 +122,12 @@ val validate_source :
     assumed coinductively (loops close the relation); lowering
     temporaries are matched by a growing renaming, and a temporary
     whose load the pass deleted is treated as an unconstrained value —
-    sound because its value can no longer reach any observable.
-    [engine] defaults to {!Decide}: every expression equality the
-    relation relies on is then discharged by {!Ec.decide}, and a
-    successful search yields {!Proved}. *)
+    sound because its value can no longer reach any observable. Every
+    expression equality the relation relies on is discharged by
+    {!Ec.decide}, and a successful search yields {!Proved}. *)
 
 val validate_hardware :
   ?bounds:bounds ->
-  ?engine:engine ->
   ?memories:(string * int list) list ->
   pass:pass ->
   reference:Netlist.Datapath.t * Fsmkit.Fsm.t ->
