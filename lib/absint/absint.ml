@@ -441,9 +441,8 @@ type verdict =
 type cycle_finding = { members : string list; cycle_verdict : verdict }
 
 type t = {
-  dp : Dp.t;
-  fsm : Fsm.t;
-  entry : (string, (string * Dom.t) list) Hashtbl.t;
+  seq_names : string array; (* register/counter ids, store order *)
+  entry : (string, Dom.t array) Hashtbl.t;
   diags : Diag.t list;
   findings : cycle_finding list;
   reachable : string list;
@@ -451,36 +450,119 @@ type t = {
   seconds : float;
 }
 
-(* Pre-resolved structure shared by every state evaluation. Abstract
-   values live in string-keyed cells: ["inst.port"] for operator
-   outputs, ["ctl.<name>"] for controls. *)
+(* Abstract values live in arrays indexed by {!Elab} ids. An input's
+   driver is pre-resolved to an int code: an operator output is the
+   operator's id, control [i] of the datapath is [-1 - i]. *)
+type cells = {
+  vals : Dom.t array; (* op id -> output value *)
+  ctl : Dom.t array; (* control index -> value in the state *)
+}
+
+let get cells code = if code >= 0 then cells.vals.(code) else cells.ctl.(-1 - code)
+
+(* An operator's input drivers, by port name. Absent ports hold
+   [no_input], which fails as an index if ever read. *)
+type node = {
+  inputs : int array; (* every input, spec port order *)
+  a : int;
+  b : int;
+  sel : int;
+  ins : int array; (* mux data inputs in0 .. in(n-1) *)
+  addr : int;
+  din : int;
+  we : int;
+  en : int;
+  d : int;
+  load : int;
+  value : int; (* const: its value *)
+  step : int; (* counter: its step *)
+}
+
+let no_input = min_int
+
+(* Pre-resolved structure shared by every state evaluation. *)
 type prep = {
   p_dp : Dp.t;
   p_fsm : Fsm.t;
   e : Elab.t;
-  seq_ops : Elab.op list; (* reg + counter, doc order *)
-  mem_contents : (int, int array) Hashtbl.t;
+  ops : Elab.op array; (* by id *)
+  nodes : node array; (* by op id *)
+  seq : Elab.op array; (* reg + counter, doc order: the store layout *)
+  muxes : Elab.op array; (* comb muxes, doc order *)
+  statuses : (string, int) Hashtbl.t; (* status name -> tapped op id *)
+  mem_contents : int array option array;
       (* op id -> initial words (zero-padded to size), for memory ports
          proved read-only within this design whose initial contents the
          caller declared via [analyze ?memories]. *)
+  orders : (string, Elab.op array * Elab.op array) Hashtbl.t;
+      (* resolved mux-select pattern -> levelized (order, stuck) *)
+  controls : (string, Dom.t array) Hashtbl.t; (* state -> control values *)
 }
-
-let out_key o = Elab.endpoint o (Elab.out_port o)
-
-let driver_key = function
-  | Elab.Op_out (o, p) -> Elab.endpoint o p
-  | Elab.Ctl c -> "ctl." ^ c.Dp.ctl_name
 
 let memory_name (op : Elab.op) =
   Opspec.param_string op.Elab.params "memory" ~default:"?"
 
+let mux_inputs (op : Elab.op) =
+  Opspec.param_int op.Elab.params "inputs" ~default:2
+
 let build_prep ?(memories = []) e fsm =
+  let dp = Elab.datapath e in
   let ops = Elab.ops e in
   let seq_ops =
     List.filter
       (fun (o : Elab.op) -> match o.Elab.kind with Reg | Counter -> true | _ -> false)
       ops
   in
+  let ctl_index = Hashtbl.create 16 in
+  List.iteri
+    (fun i (c : Dp.control) -> Hashtbl.replace ctl_index c.Dp.ctl_name i)
+    dp.Dp.controls;
+  let code = function
+    | Elab.Op_out (o, _) -> o.Elab.id
+    | Elab.Ctl c -> -1 - Hashtbl.find ctl_index c.Dp.ctl_name
+  in
+  let node (o : Elab.op) =
+    let port name =
+      match
+        List.find_opt
+          (fun ((p : Opspec.port), _) -> p.Opspec.port_name = name)
+          o.Elab.inputs
+      with
+      | Some (_, d) -> code d
+      | None -> no_input
+    in
+    {
+      inputs = Array.of_list (List.map (fun (_, d) -> code d) o.Elab.inputs);
+      a = port "a";
+      b = port "b";
+      sel = port "sel";
+      ins =
+        (if o.Elab.kind = Mux then
+           Array.init (mux_inputs o) (fun i -> port (Printf.sprintf "in%d" i))
+         else [||]);
+      addr = port "addr";
+      din = port "din";
+      we = port "we";
+      en = port "en";
+      d = port "d";
+      load = port "load";
+      value =
+        (if o.Elab.kind = Const then
+           Opspec.require_int o.Elab.params ~kind:"const" "value"
+         else 0);
+      step =
+        (if o.Elab.kind = Counter then
+           Opspec.param_int o.Elab.params "step" ~default:1
+         else 1);
+    }
+  in
+  let statuses = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Dp.status) ->
+      if not (Hashtbl.mem statuses s.Dp.st_name) then
+        let op = Option.get (Elab.find e s.Dp.st_source.Dp.inst) in
+        Hashtbl.replace statuses s.Dp.st_name op.Elab.id)
+    dp.Dp.statuses;
   (* Per-cell abstract memory: a memory port's reads can use the declared
      initial contents only when nothing in this design can overwrite
      them — the port is a rom, or an sram whose write enable is tied to
@@ -488,7 +570,7 @@ let build_prep ?(memories = []) e fsm =
      that way). Any other sram on the same backing memory disqualifies
      it too. The caller is responsible for only declaring [memories]
      whose contents no other configuration (or host) mutates. *)
-  let mem_contents = Hashtbl.create 4 in
+  let mem_contents = Array.make (List.length ops) None in
   let never_written_port (o : Elab.op) =
     match o.Elab.kind with
     | Rom -> true
@@ -519,170 +601,178 @@ let build_prep ?(memories = []) e fsm =
             Array.init size (fun i ->
                 if i < List.length init then List.nth init i land m else 0)
           in
-          Hashtbl.replace mem_contents o.Elab.id words
+          mem_contents.(o.Elab.id) <- Some words
       | Some _ | None -> ())
     mem_ports;
-  { p_dp = Elab.datapath e; p_fsm = fsm; e; seq_ops; mem_contents }
+  {
+    p_dp = dp;
+    p_fsm = fsm;
+    e;
+    ops = Array.of_list ops;
+    nodes = Array.of_list (List.map node ops);
+    seq = Array.of_list seq_ops;
+    muxes =
+      Array.of_list
+        (List.filter (fun (o : Elab.op) -> o.Elab.kind = Mux) (Elab.comb e));
+    statuses;
+    mem_contents;
+    orders = Hashtbl.create 16;
+    controls = Hashtbl.create 16;
+  }
 
 let out_width (op : Elab.op) = (Elab.out_port op).Opspec.port_width
 
-let input_dom cells (op : Elab.op) port =
-  let src = driver_key (Elab.driver op port) in
-  match Hashtbl.find_opt cells src with
-  | Some d -> d
-  | None -> failwith ("absint: no value for " ^ src)
+(* The levelized (order, stuck) split of the combinational network under
+   a resolved-select pattern ([resolved.(id)] is the selected input of
+   mux [id], or -1): a resolved mux depends on its selected input only.
+   Computed once per distinct pattern and reused. *)
+let levelized prep resolved =
+  let key = Bytes.create (4 * Array.length prep.muxes) in
+  Array.iteri
+    (fun i (m : Elab.op) ->
+      Bytes.set_int32_le key (4 * i) (Int32.of_int resolved.(m.Elab.id)))
+    prep.muxes;
+  let key = Bytes.unsafe_to_string key in
+  match Hashtbl.find_opt prep.orders key with
+  | Some split -> split
+  | None ->
+      let deps (op : Elab.op) =
+        let i = resolved.(op.Elab.id) in
+        if op.Elab.kind = Mux && i >= 0 then
+          let src = prep.nodes.(op.Elab.id).ins.(i) in
+          if src >= 0 then [ prep.ops.(src) ] else []
+        else Elab.comb_preds op
+      in
+      let order, stuck = Elab.levelize prep.e ~deps in
+      let split = (Array.of_list order, Array.of_list stuck) in
+      Hashtbl.add prep.orders key split;
+      split
 
-let mux_inputs (op : Elab.op) =
-  Opspec.param_int op.Elab.params "inputs" ~default:2
+(* Abstract transfer of one combinational operator. *)
+let eval_comb prep cells resolved (op : Elab.op) =
+  let n = prep.nodes.(op.Elab.id) in
+  let get = get cells in
+  let width = op.Elab.width in
+  match op.Elab.kind with
+  | Const -> Dom.const ~width n.value
+  | Zext -> Dom.resize_u (get n.a) width
+  | Sext -> Dom.resize_s (get n.a) width
+  | Un u -> Dom.unary u (get n.a)
+  | Mux -> (
+      let i = resolved.(op.Elab.id) in
+      if i >= 0 then get n.ins.(i)
+      else
+        let last = Array.length n.ins - 1 in
+        let sel = get n.sel in
+        let lo = min sel.Dom.lo last and hi = min sel.Dom.hi last in
+        let v = ref (get n.ins.(lo)) in
+        for i = lo + 1 to hi do
+          v := Dom.join !v (get n.ins.(i))
+        done;
+        let v = !v in
+        Dom.with_taint (Dom.union_taint v.Dom.taint sel.Dom.taint) v)
+  | Sram | Rom -> (
+      (* Reads from a memory proved read-only (with declared initial
+         contents) join the cells the abstract address can reach;
+         out-of-range addresses read as 0, matching the open-decode
+         convention. Other memories yield top. *)
+      match prep.mem_contents.(op.Elab.id) with
+      | None -> Dom.top ~width:(out_width op)
+      | Some contents ->
+          let w = out_width op in
+          let addr = get n.addr in
+          let size = Array.length contents in
+          if addr.Dom.hi - addr.Dom.lo > 1024 then Dom.top ~width:w
+          else begin
+            let acc = ref None in
+            for a = addr.Dom.lo to addr.Dom.hi do
+              if Dom.contains addr a then begin
+                let v = if a < size then contents.(a) else 0 in
+                let d = Dom.const ~width:w v in
+                acc :=
+                  Some (match !acc with None -> d | Some x -> Dom.join x d)
+              end
+            done;
+            match !acc with
+            | None -> Dom.top ~width:w
+            | Some v -> Dom.with_taint addr.Dom.taint v
+          end)
+  | Bin b -> Dom.binary b (get n.a) (get n.b)
+  | Cmp c -> Dom.cmp c (get n.a) (get n.b)
+  | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
 
 (* One abstract settle of the combinational network in a single FSM
    state. Muxes whose select evaluates to a constant are restricted to
    their selected input, which both sharpens values and breaks
    structural cycles; the loop re-restricts until no select resolves
    further. Operators on residual cycles conservatively evaluate to
-   top. Returns the resolved selects (op id -> selected input). *)
+   top. Returns the resolved selects (op id -> selected input, -1 for
+   none). *)
 let settle prep cells =
-  let resolved : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  (* Dependency edges respecting resolved mux selects. *)
-  let deps (op : Elab.op) =
-    match (op.Elab.kind, Hashtbl.find_opt resolved op.Elab.id) with
-    | Mux, Some i -> (
-        match Elab.driver op (Printf.sprintf "in%d" i) with
-        | Elab.Op_out (src, _) -> [ src ]
-        | Elab.Ctl _ -> [])
-    | _ -> Elab.comb_preds op
-  in
+  let resolved = Array.make (Array.length prep.ops) (-1) in
   let continue_ = ref true in
   while !continue_ do
     continue_ := false;
-    let order, stuck = Elab.levelize prep.e ~deps in
+    let order, stuck = levelized prep resolved in
     (* Residual-cycle members evaluate to top — sound for any value
        they could oscillate through. *)
-    List.iter
+    Array.iter
       (fun (op : Elab.op) ->
-        Hashtbl.replace cells (out_key op)
-          (Dom.top ~width:(out_width op)))
+        cells.vals.(op.Elab.id) <- Dom.top ~width:(out_width op))
       stuck;
-    (* Evaluate the ordered part. *)
-    List.iter
+    Array.iter
       (fun (op : Elab.op) ->
-        let width = op.Elab.width in
-        let v =
-          match op.Elab.kind with
-          | Const ->
-              Dom.const ~width
-                (Opspec.require_int op.Elab.params ~kind:"const" "value")
-          | Zext -> Dom.resize_u (input_dom cells op "a") width
-          | Sext -> Dom.resize_s (input_dom cells op "a") width
-          | Un u -> Dom.unary u (input_dom cells op "a")
-          | Mux -> (
-              let n = mux_inputs op in
-              match Hashtbl.find_opt resolved op.Elab.id with
-              | Some i -> input_dom cells op (Printf.sprintf "in%d" i)
-              | None ->
-                  let sel = input_dom cells op "sel" in
-                  let lo = min sel.Dom.lo (n - 1)
-                  and hi = min sel.Dom.hi (n - 1) in
-                  let rec joins acc i =
-                    if i > hi then acc
-                    else
-                      joins
-                        (Dom.join acc
-                           (input_dom cells op (Printf.sprintf "in%d" i)))
-                        (i + 1)
-                  in
-                  let v =
-                    joins (input_dom cells op (Printf.sprintf "in%d" lo))
-                      (lo + 1)
-                  in
-                  Dom.with_taint
-                    (Dom.union_taint v.Dom.taint sel.Dom.taint)
-                    v)
-          | Sram | Rom -> (
-              (* Reads from a memory proved read-only (with declared
-                 initial contents) join the cells the abstract address
-                 can reach; out-of-range addresses read as 0, matching
-                 the open-decode convention. Other memories yield top. *)
-              match Hashtbl.find_opt prep.mem_contents op.Elab.id with
-              | None -> Dom.top ~width:(out_width op)
-              | Some contents ->
-                  let w = out_width op in
-                  let addr = input_dom cells op "addr" in
-                  let size = Array.length contents in
-                  if addr.Dom.hi - addr.Dom.lo > 1024 then Dom.top ~width:w
-                  else begin
-                    let acc = ref None in
-                    for a = addr.Dom.lo to addr.Dom.hi do
-                      if Dom.contains addr a then begin
-                        let v = if a < size then contents.(a) else 0 in
-                        let d = Dom.const ~width:w v in
-                        acc :=
-                          Some
-                            (match !acc with
-                            | None -> d
-                            | Some x -> Dom.join x d)
-                      end
-                    done;
-                    match !acc with
-                    | None -> Dom.top ~width:w
-                    | Some v -> Dom.with_taint addr.Dom.taint v
-                  end)
-          | Bin b ->
-              Dom.binary b
-                (input_dom cells op "a")
-                (input_dom cells op "b")
-          | Cmp c ->
-              Dom.cmp c (input_dom cells op "a") (input_dom cells op "b")
-          | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
-        in
-        Hashtbl.replace cells (out_key op) v)
+        cells.vals.(op.Elab.id) <- eval_comb prep cells resolved op)
       order;
     (* Resolve further mux selects now that values exist. *)
-    List.iter
+    Array.iter
       (fun (op : Elab.op) ->
-        if op.Elab.kind = Mux && not (Hashtbl.mem resolved op.Elab.id) then
-          match Dom.is_const (input_dom cells op "sel") with
+        let id = op.Elab.id in
+        if resolved.(id) < 0 then
+          match Dom.is_const (get cells prep.nodes.(id).sel) with
           | Some c ->
-              Hashtbl.replace resolved op.Elab.id (min c (mux_inputs op - 1));
+              resolved.(id) <- min c (Array.length prep.nodes.(id).ins - 1);
               continue_ := true
           | None -> ())
-      (Elab.comb prep.e)
+      prep.muxes
   done;
   resolved
 
 (* Abstract values of the control cells in a state (the Moore decode is
-   exact: every control is a compile-time constant per state). *)
-let control_cells prep (st : Fsm.state) cells =
-  List.iter
-    (fun (c : Dp.control) ->
-      let v =
-        try Fsm.output_in_state prep.p_fsm st c.Dp.ctl_name
-        with Failure _ ->
-          failwith
-            (Printf.sprintf "absint: design has no control %S" c.Dp.ctl_name)
+   exact: every control is a compile-time constant per state), computed
+   on the state's first visit. *)
+let controls_in prep (st : Fsm.state) =
+  match Hashtbl.find_opt prep.controls st.Fsm.sname with
+  | Some ctl -> ctl
+  | None ->
+      let ctl =
+        Array.of_list
+          (List.map
+             (fun (c : Dp.control) ->
+               let v =
+                 try Fsm.output_in_state prep.p_fsm st c.Dp.ctl_name
+                 with Failure _ ->
+                   failwith
+                     (Printf.sprintf "absint: design has no control %S"
+                        c.Dp.ctl_name)
+               in
+               Dom.const ~width:c.Dp.ctl_width v)
+             prep.p_dp.Dp.controls)
       in
-      Hashtbl.replace cells ("ctl." ^ c.Dp.ctl_name)
-        (Dom.const ~width:c.Dp.ctl_width v))
-    prep.p_dp.Dp.controls
+      Hashtbl.replace prep.controls st.Fsm.sname ctl;
+      ctl
+
+let unset = Dom.top ~width:1
 
 let eval_state prep (st : Fsm.state) store =
-  let cells = Hashtbl.create 64 in
-  control_cells prep st cells;
-  List.iter2
-    (fun (op : Elab.op) (_, q) -> Hashtbl.replace cells (out_key op) q)
-    prep.seq_ops store;
+  let vals = Array.make (Array.length prep.ops) unset in
+  Array.iteri (fun i (op : Elab.op) -> vals.(op.Elab.id) <- store.(i)) prep.seq;
+  let cells = { vals; ctl = controls_in prep st } in
   (cells, settle prep cells)
 
 let status_env prep cells name =
-  match
-    List.find_opt
-      (fun (s : Dp.status) -> s.Dp.st_name = name)
-      prep.p_dp.Dp.statuses
-  with
-  | Some s -> (
-      match Hashtbl.find_opt cells (Dp.endpoint_to_string s.Dp.st_source) with
-      | Some d -> d
-      | None -> failwith ("absint: no value for status " ^ name))
+  match Hashtbl.find_opt prep.statuses name with
+  | Some id -> cells.vals.(id)
   | None -> failwith ("absint: design has no status " ^ name)
 
 (* Guards actually examined in a state (everything up to and including
@@ -698,46 +788,38 @@ let examined_guards prep (st : Fsm.state) cells =
   in
   go [] st.Fsm.transitions
 
+(* Per-state stores are arrays over [prep.seq]. *)
 let next_store prep cells store =
-  List.map2
-    (fun (op : Elab.op) (id, q) ->
+  Array.mapi
+    (fun i (op : Elab.op) ->
+      let q = store.(i) and n = prep.nodes.(op.Elab.id) in
       match op.Elab.kind with
-      | Reg ->
-          let d = input_dom cells op "d"
-          and en = input_dom cells op "en" in
-          let q' =
-            match Dom.truth en with
-            | Dom.Yes -> d
-            | Dom.No -> q
-            | Dom.Maybe -> Dom.join q d
-          in
-          (id, q')
-      | Counter ->
-          let en = input_dom cells op "en"
-          and load = input_dom cells op "load"
-          and d = input_dom cells op "d" in
-          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
-          let stepped =
-            Dom.binary Add q (Dom.const ~width:op.Elab.width step)
-          in
+      | Reg -> (
+          let d = get cells n.d in
+          match Dom.truth (get cells n.en) with
+          | Dom.Yes -> d
+          | Dom.No -> q
+          | Dom.Maybe -> Dom.join q d)
+      | Counter -> (
+          let en = get cells n.en
+          and load = get cells n.load
+          and d = get cells n.d in
+          let stepped = Dom.binary Add q (Dom.const ~width:op.Elab.width n.step) in
           let q1 =
             match Dom.truth en with
             | Dom.Yes -> stepped
             | Dom.No -> q
             | Dom.Maybe -> Dom.join q stepped
           in
-          let q' =
-            match Dom.truth load with
-            | Dom.Yes -> d
-            | Dom.No -> q1
-            | Dom.Maybe -> Dom.join d q1
-          in
-          (id, q')
-      | _ -> (id, q))
-    prep.seq_ops store
+          match Dom.truth load with
+          | Dom.Yes -> d
+          | Dom.No -> q1
+          | Dom.Maybe -> Dom.join d q1)
+      | _ -> q)
+    prep.seq
 
 let init_store prep =
-  List.map
+  Array.map
     (fun (op : Elab.op) ->
       let id = op.Elab.name and width = op.Elab.width and params = op.Elab.params in
       match op.Elab.kind with
@@ -746,19 +828,17 @@ let init_store prep =
           if Opspec.param_opt params "init" = None then
             (* Reset default: taint the value so a read-before-write
                shows up when it reaches an observable. *)
-            (id, Dom.with_taint [ id ] d)
-          else (id, d)
-      | _ -> (id, Dom.const ~width 0))
-    prep.seq_ops
+            Dom.with_taint [ id ] d
+          else d
+      | _ -> Dom.const ~width 0)
+    prep.seq
 
-let store_join = List.map2 (fun (k, a) (_, b) -> (k, Dom.join a b))
+let store_join = Array.map2 Dom.join
 
 let store_widen ?thresholds ~prev ~next () =
-  List.map2
-    (fun (k, a) (_, b) -> (k, Dom.widen ?thresholds ~prev:a ~next:b ()))
-    prev next
+  Array.map2 (fun a b -> Dom.widen ?thresholds ~prev:a ~next:b ()) prev next
 
-let store_equal a b = List.for_all2 (fun (_, x) (_, y) -> Dom.equal x y) a b
+let store_equal a b = Array.for_all2 Dom.equal a b
 
 (* --- per-edge guard refinement ------------------------------------- *)
 
@@ -785,110 +865,91 @@ let store_equal a b = List.for_all2 (fun (_, x) (_, y) -> Dom.equal x y) a b
 
 exception Infeasible_edge
 
-let rec refine_endpoint cells resolved depth (src : Elab.driver) (lo, hi) acc =
+let rec refine_endpoint prep cells resolved depth code (lo, hi) acc =
   if depth > 64 then acc
   else
-    match Hashtbl.find_opt cells (driver_key src) with
-    | None -> acc
-    | Some (d : Dom.t) -> (
-        if lo > d.Dom.hi || hi < d.Dom.lo then raise Infeasible_edge;
-        match src with
-        | Elab.Ctl _ -> acc
-        | Elab.Op_out (op, _) -> (
-            let follow port interval acc =
-              refine_endpoint cells resolved (depth + 1)
-                (Elab.driver op port) interval acc
+    let (d : Dom.t) = get cells code in
+    if lo > d.Dom.hi || hi < d.Dom.lo then raise Infeasible_edge;
+    if code < 0 then acc (* a control *)
+    else
+      let op = prep.ops.(code) and n = prep.nodes.(code) in
+      let follow src interval acc =
+        refine_endpoint prep cells resolved (depth + 1) src interval acc
+      in
+      let m w = umax w in
+      match op.Elab.kind with
+      | Reg | Counter -> (op.Elab.id, lo, hi) :: acc
+      | Un Pass -> follow n.a (lo, hi) acc
+      | Mux ->
+          let i = resolved.(code) in
+          if i >= 0 then follow n.ins.(i) (lo, hi) acc else acc
+      | Bin And when op.Elab.width = 1 && lo >= 1 ->
+          follow n.a (1, 1) (follow n.b (1, 1) acc)
+      | Bin Or when op.Elab.width = 1 && hi = 0 ->
+          follow n.a (0, 0) (follow n.b (0, 0) acc)
+      | Un Not when op.Elab.width = 1 && (hi = 0 || lo >= 1) ->
+          follow n.a ((if hi = 0 then 1 else 0), if hi = 0 then 1 else 0) acc
+      | Cmp c when lo >= 1 || hi = 0 ->
+          let truth = lo >= 1 in
+          let da = get cells n.a and db = get cells n.b in
+          let w = da.Dom.width in
+          (* Normalize to an unsigned relation [a R b]: signed
+             comparisons refine only when both settled operands are
+             provably non-negative, where the orders agree. *)
+          let half = if w = 1 then 1 else 1 lsl (w - 1) in
+          let signed = match c with Lts | Les | Gts | Ges -> true | _ -> false in
+          if signed && not (da.Dom.hi < half && db.Dom.hi < half) then acc
+          else
+            let rel =
+              match (c, truth) with
+              | (Eq | Ne), _ -> `Eq (truth = (c = Eq))
+              | ((Ltu | Lts), true) | ((Geu | Ges), false) -> `Lt
+              | ((Leu | Les), true) | ((Gtu | Gts), false) -> `Le
+              | ((Gtu | Gts), true) | ((Leu | Les), false) -> `Gt
+              | ((Geu | Ges), true) | ((Ltu | Lts), false) -> `Ge
             in
-            let input port =
-              Hashtbl.find_opt cells (driver_key (Elab.driver op port))
+            (* Allowed interval for one operand given the settled
+               interval of the other, under [a R b]. *)
+            let bound_a other =
+              match rel with
+              | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
+              | `Eq false -> (
+                  (* only a point can be excluded usefully *)
+                  match Dom.is_const other with
+                  | Some 0 -> Some (1, m w)
+                  | Some v when v = m w -> Some (0, m w - 1)
+                  | _ -> None)
+              | `Lt ->
+                  if other.Dom.hi = 0 then raise Infeasible_edge
+                  else Some (0, other.Dom.hi - 1)
+              | `Le -> Some (0, other.Dom.hi)
+              | `Gt ->
+                  if other.Dom.lo = m w then raise Infeasible_edge
+                  else Some (other.Dom.lo + 1, m w)
+              | `Ge -> Some (other.Dom.lo, m w)
+            and bound_b other =
+              match rel with
+              | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
+              | `Eq false -> (
+                  match Dom.is_const other with
+                  | Some 0 -> Some (1, m w)
+                  | Some v when v = m w -> Some (0, m w - 1)
+                  | _ -> None)
+              | `Lt ->
+                  (* a < b: b > a >= a.lo *)
+                  if other.Dom.lo = m w then raise Infeasible_edge
+                  else Some (other.Dom.lo + 1, m w)
+              | `Le -> Some (other.Dom.lo, m w)
+              | `Gt ->
+                  if other.Dom.hi = 0 then raise Infeasible_edge
+                  else Some (0, other.Dom.hi - 1)
+              | `Ge -> Some (0, other.Dom.hi)
             in
-            let m w = umax w in
-            match op.Elab.kind with
-            | Reg | Counter -> (op.Elab.name, lo, hi) :: acc
-            | Un Pass -> follow "a" (lo, hi) acc
-            | Mux -> (
-                match Hashtbl.find_opt resolved op.Elab.id with
-                | Some i -> follow (Printf.sprintf "in%d" i) (lo, hi) acc
-                | None -> acc)
-            | Bin And when op.Elab.width = 1 && lo >= 1 ->
-                follow "a" (1, 1) (follow "b" (1, 1) acc)
-            | Bin Or when op.Elab.width = 1 && hi = 0 ->
-                follow "a" (0, 0) (follow "b" (0, 0) acc)
-            | Un Not when op.Elab.width = 1 && (hi = 0 || lo >= 1) ->
-                follow "a" ((if hi = 0 then 1 else 0), if hi = 0 then 1 else 0)
-                  acc
-            | Cmp c when lo >= 1 || hi = 0 -> (
-                let truth = lo >= 1 in
-                match (input "a", input "b") with
-                | Some da, Some db ->
-                    let w = da.Dom.width in
-                    (* Normalize to an unsigned relation [a R b]: signed
-                       comparisons refine only when both settled operands
-                       are provably non-negative, where the orders agree. *)
-                    let half = if w = 1 then 1 else 1 lsl (w - 1) in
-                    let signed =
-                      match c with Lts | Les | Gts | Ges -> true | _ -> false
-                    in
-                    if
-                      signed
-                      && not (da.Dom.hi < half && db.Dom.hi < half)
-                    then acc
-                    else
-                      let rel =
-                        match (c, truth) with
-                        | (Eq | Ne), _ -> `Eq (truth = (c = Eq))
-                        | ((Ltu | Lts), true) | ((Geu | Ges), false) -> `Lt
-                        | ((Leu | Les), true) | ((Gtu | Gts), false) -> `Le
-                        | ((Gtu | Gts), true) | ((Leu | Les), false) -> `Gt
-                        | ((Geu | Ges), true) | ((Ltu | Lts), false) -> `Ge
-                      in
-                      (* Allowed interval for one operand given the settled
-                         interval of the other, under [a R b]. *)
-                      let bound_a other =
-                        match rel with
-                        | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
-                        | `Eq false ->
-                            (* only a point can be excluded usefully *)
-                            (match Dom.is_const other with
-                            | Some 0 -> Some (1, m w)
-                            | Some v when v = m w -> Some (0, m w - 1)
-                            | _ -> None)
-                        | `Lt ->
-                            if other.Dom.hi = 0 then raise Infeasible_edge
-                            else Some (0, other.Dom.hi - 1)
-                        | `Le -> Some (0, other.Dom.hi)
-                        | `Gt ->
-                            if other.Dom.lo = m w then raise Infeasible_edge
-                            else Some (other.Dom.lo + 1, m w)
-                        | `Ge -> Some (other.Dom.lo, m w)
-                      and bound_b other =
-                        match rel with
-                        | `Eq true -> Some (other.Dom.lo, other.Dom.hi)
-                        | `Eq false ->
-                            (match Dom.is_const other with
-                            | Some 0 -> Some (1, m w)
-                            | Some v when v = m w -> Some (0, m w - 1)
-                            | _ -> None)
-                        | `Lt ->
-                            (* a < b: b > a >= a.lo *)
-                            if other.Dom.lo = m w then raise Infeasible_edge
-                            else Some (other.Dom.lo + 1, m w)
-                        | `Le -> Some (other.Dom.lo, m w)
-                        | `Gt ->
-                            if other.Dom.hi = 0 then raise Infeasible_edge
-                            else Some (0, other.Dom.hi - 1)
-                        | `Ge -> Some (0, other.Dom.hi)
-                      in
-                      let acc =
-                        match bound_a db with
-                        | Some iv -> follow "a" iv acc
-                        | None -> acc
-                      in
-                      (match bound_b da with
-                      | Some iv -> follow "b" iv acc
-                      | None -> acc)
-                | _ -> acc)
-            | _ -> acc))
+            let acc =
+              match bound_a db with Some iv -> follow n.a iv acc | None -> acc
+            in
+            (match bound_b da with Some iv -> follow n.b iv acc | None -> acc)
+      | _ -> acc
 
 (* Allowed unsigned interval for a status value under one guard literal,
    [None] when the literal carries no interval information. Raises
@@ -927,32 +988,18 @@ let rec guard_literals polarity g acc =
       guard_literals polarity a (guard_literals polarity b acc)
   | Guard.And _ | Guard.Or _ -> acc
 
-(* The operator output a status taps. *)
-let status_driver prep (s : Dp.status) =
-  let op = Option.get (Elab.find prep.e s.Dp.st_source.Dp.inst) in
-  Elab.Op_out (op, Elab.out_port op)
-
-(* Register constraints implied by asserting [g = polarity] in a state. *)
-let guard_constraints prep (st : Fsm.state) cells resolved polarity g acc =
-  ignore st;
+(* Register constraints implied by asserting [g = polarity] in a state,
+   as (op id, lo, hi) triples. *)
+let guard_constraints prep cells resolved polarity g acc =
   List.fold_left
     (fun acc (signal, op, value, pol) ->
-      match
-        List.find_opt
-          (fun (s : Dp.status) -> s.Dp.st_name = signal)
-          prep.p_dp.Dp.statuses
-      with
+      match Hashtbl.find_opt prep.statuses signal with
       | None -> acc
-      | Some s -> (
-          let src = status_driver prep s in
-          let width =
-            match Hashtbl.find_opt cells (driver_key src) with
-            | Some (d : Dom.t) -> d.Dom.width
-            | None -> 1
-          in
+      | Some src -> (
+          let width = cells.vals.(src).Dom.width in
           match literal_interval ~width op value ~polarity:pol with
           | None -> acc
-          | Some iv -> refine_endpoint cells resolved 0 src iv acc))
+          | Some iv -> refine_endpoint prep cells resolved 0 src iv acc))
     acc
     (guard_literals polarity g [])
 
@@ -969,10 +1016,10 @@ let successors_refined prep (st : Fsm.state) cells resolved next =
       (try
          let cs =
            List.fold_left
-             (fun acc g -> guard_constraints prep st cells resolved false g acc)
+             (fun acc g -> guard_constraints prep cells resolved false g acc)
              (match taken with
              | None -> []
-             | Some g -> guard_constraints prep st cells resolved true g [])
+             | Some g -> guard_constraints prep cells resolved true g [])
              falses
          in
          Some cs
@@ -982,26 +1029,24 @@ let successors_refined prep (st : Fsm.state) cells resolved next =
     | Some constraints -> (
         try
           let refined =
-            List.map2
-              (fun (op : Elab.op) (id, q) ->
+            Array.mapi
+              (fun i (op : Elab.op) ->
+                let q = next.(i) in
                 let written =
                   op.Elab.kind <> Reg
-                  || Dom.truth (input_dom cells op "en") <> Dom.No
+                  || Dom.truth (get cells prep.nodes.(op.Elab.id).en) <> Dom.No
                 in
-                if written then (id, q)
+                if written then q
                 else
-                  let q' =
-                    List.fold_left
-                      (fun q (rid, lo, hi) ->
-                        if rid <> id then q
-                        else
-                          match Dom.meet_interval q lo hi with
-                          | Some q' -> q'
-                          | None -> raise Infeasible_edge)
-                      q constraints
-                  in
-                  (id, q'))
-              prep.seq_ops next
+                  List.fold_left
+                    (fun q (rid, lo, hi) ->
+                      if rid <> op.Elab.id then q
+                      else
+                        match Dom.meet_interval q lo hi with
+                        | Some q' -> q'
+                        | None -> raise Infeasible_edge)
+                    q constraints)
+              prep.seq
           in
           Some (target, refined)
         with Infeasible_edge -> None)
@@ -1063,16 +1108,15 @@ let mux_broken_components prep =
    restricted to the members, a resolved mux keeps only its selected
    data input (its select no longer matters). Returns the first
    residual SCC, with whether every mux on it was resolved. *)
-let residual_cycle members resolved =
+let residual_cycle prep members resolved =
   let succs (v : Elab.op) =
     List.filter_map
-      (fun ((w : Elab.op), (port : Opspec.port)) ->
+      (fun ((w : Elab.op), _) ->
         let kept =
           List.memq w members
           &&
-          match Hashtbl.find_opt resolved w.Elab.id with
-          | Some i -> port.Opspec.port_name = Printf.sprintf "in%d" i
-          | None -> true
+          let i = resolved.(w.Elab.id) in
+          i < 0 || prep.nodes.(w.Elab.id).ins.(i) = v.Elab.id
         in
         if kept then Some w else None)
       v.Elab.fanout
@@ -1083,7 +1127,7 @@ let residual_cycle members resolved =
   | scc :: _ ->
       let all_resolved =
         List.for_all
-          (fun (v : Elab.op) -> v.Elab.kind <> Mux || Hashtbl.mem resolved v.Elab.id)
+          (fun (v : Elab.op) -> v.Elab.kind <> Mux || resolved.(v.Elab.id) >= 0)
           scc
       in
       Some (List.map (fun (v : Elab.op) -> v.Elab.name) (List.sort by_name scc), all_resolved)
@@ -1112,63 +1156,54 @@ let dout_consumed prep (op : Elab.op) =
    "overflow" on the default-routed address of a read nothing consumes
    there, and such dead-cone facts are noise. *)
 let live_ops prep (st : Fsm.state) cells resolved =
-  let live = Hashtbl.create 32 in
-  let rec trace_sink (op : Elab.op) port = trace_driver (Elab.driver op port)
-  and trace_driver = function
-    | Elab.Ctl _ -> ()
-    | Elab.Op_out (op, _) -> trace_op op
+  let live = Array.make (Array.length prep.ops) false in
+  let rec trace code = if code >= 0 then trace_op prep.ops.(code)
   and trace_op (op : Elab.op) =
-    if not (Hashtbl.mem live op.Elab.id) then begin
-      Hashtbl.replace live op.Elab.id ();
+    let id = op.Elab.id in
+    if not live.(id) then begin
+      live.(id) <- true;
+      let n = prep.nodes.(id) in
       match op.Elab.kind with
       | Reg | Counter -> ()
-      | Sram | Rom -> trace_sink op "addr"
-      | Mux -> (
-          trace_sink op "sel";
-          match Hashtbl.find_opt resolved op.Elab.id with
-          | Some i -> trace_sink op (Printf.sprintf "in%d" i)
-          | None ->
-              for i = 0 to mux_inputs op - 1 do
-                trace_sink op (Printf.sprintf "in%d" i)
-              done)
-      | _ -> List.iter (fun (_, d) -> trace_driver d) op.Elab.inputs
+      | Sram | Rom -> trace n.addr
+      | Mux ->
+          trace n.sel;
+          let i = resolved.(id) in
+          if i >= 0 then trace n.ins.(i) else Array.iter trace n.ins
+      | _ -> Array.iter trace n.inputs
     end
   in
-  List.iter
+  Array.iter
     (fun (op : Elab.op) ->
-      let sink = trace_sink op in
-      let armed port = Dom.truth (input_dom cells op port) <> Dom.No in
+      let n = prep.nodes.(op.Elab.id) in
+      let armed src = Dom.truth (get cells src) <> Dom.No in
       match op.Elab.kind with
       | Reg ->
-          sink "en";
-          if armed "en" then sink "d"
+          trace n.en;
+          if armed n.en then trace n.d
       | Counter ->
-          sink "en";
-          sink "load";
-          if armed "load" then sink "d"
+          trace n.en;
+          trace n.load;
+          if armed n.load then trace n.d
       | Sram ->
-          sink "we";
-          if armed "we" then begin
-            sink "addr";
-            sink "din"
+          trace n.we;
+          if armed n.we then begin
+            trace n.addr;
+            trace n.din
           end
       | Check ->
-          sink "en";
-          if armed "en" then sink "a"
-      | Stop -> sink "en"
-      | Probe -> sink "a"
+          trace n.en;
+          if armed n.en then trace n.a
+      | Stop -> trace n.en
+      | Probe -> trace n.a
       | _ -> ())
-    (Elab.ops prep.e);
+    prep.ops;
   List.iter
     (fun g ->
       List.iter
         (fun signal ->
-          match
-            List.find_opt
-              (fun (s : Dp.status) -> s.Dp.st_name = signal)
-              prep.p_dp.Dp.statuses
-          with
-          | Some s -> trace_driver (status_driver prep s)
+          match Hashtbl.find_opt prep.statuses signal with
+          | Some src -> trace src
           | None -> ())
         (Guard.signals g))
     (examined_guards prep st cells);
@@ -1186,16 +1221,16 @@ type facts = {
 let collect_facts prep facts (st : Fsm.state) cells resolved =
   let sname = st.Fsm.sname in
   let live = live_ops prep st cells resolved in
-  List.iter
+  Array.iter
     (fun (op : Elab.op) ->
-      let id = op.Elab.name in
+      let id = op.Elab.name and n = prep.nodes.(op.Elab.id) in
       match op.Elab.kind with
       | Sram | Rom ->
           let size = sram_size op in
           if size > 0 then begin
-            let addr = input_dom cells op "addr" in
+            let addr = get cells n.addr in
             (if op.Elab.kind = Sram then
-               let we = input_dom cells op "we" in
+               let we = get cells n.we in
                if Dom.truth we <> Dom.No then begin
                  let grade =
                    if addr.Dom.lo >= size then Some `Definite
@@ -1220,7 +1255,7 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
               Hashtbl.replace facts.oob_read id (sname, addr.Dom.lo, addr.Dom.hi)
           end
       | Bin (Divu | Divs | Remu | Rems) ->
-          let b = input_dom cells op "b" in
+          let b = get cells n.b in
           let grade =
             match Dom.truth b with
             | Dom.No -> Some `Always
@@ -1234,7 +1269,7 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
               Hashtbl.replace facts.div_zero id (`Always, sname)
           | Some _, Some _ -> ())
       | Zext | Sext ->
-          let a = input_dom cells op "a" in
+          let a = get cells n.a in
           (* Only warn when the analysis actually derived a bound that
              still overflows: a completely unknown input would flag every
              intentional narrowing (index truncation) speculatively. *)
@@ -1247,11 +1282,11 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
             op.Elab.width < a.Dom.width
             && a.Dom.hi > umax op.Elab.width
             && informed
-            && Hashtbl.mem live op.Elab.id
+            && live.(op.Elab.id)
             && not (Hashtbl.mem facts.trunc id)
           then Hashtbl.replace facts.trunc id (sname, a.Dom.lo, a.Dom.hi)
       | _ -> ())
-    (Elab.ops prep.e);
+    prep.ops;
   (* Uninitialized-value observations. *)
   let observe taints desc =
     List.iter
@@ -1260,27 +1295,28 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
           Hashtbl.replace facts.uninit reg (sname, desc))
       taints
   in
-  List.iter
+  Array.iter
     (fun (op : Elab.op) ->
+      let n = prep.nodes.(op.Elab.id) in
       match op.Elab.kind with
       | Sram ->
-          let we = input_dom cells op "we" in
+          let we = get cells n.we in
           if Dom.truth we <> Dom.No then begin
             observe
-              (input_dom cells op "din").Dom.taint
+              (get cells n.din).Dom.taint
               (Printf.sprintf "the write data of memory %s" op.Elab.name);
             observe
-              (input_dom cells op "addr").Dom.taint
+              (get cells n.addr).Dom.taint
               (Printf.sprintf "the write address of memory %s" op.Elab.name)
           end
       | Check ->
-          let en = input_dom cells op "en" in
+          let en = get cells n.en in
           if Dom.truth en <> Dom.No then
             observe
-              (input_dom cells op "a").Dom.taint
+              (get cells n.a).Dom.taint
               (Printf.sprintf "check %s" op.Elab.name)
       | _ -> ())
-    (Elab.ops prep.e);
+    prep.ops;
   List.iter
     (fun g ->
       List.iter
@@ -1427,7 +1463,7 @@ let widening_thresholds e =
   in
   List.sort_uniq compare (base @ products)
 
-let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
+let run ~widen_after ~memories dp fsm =
   let t0 = Monotonic_clock.now () in
   let e =
     try Elab.of_datapath dp
@@ -1444,7 +1480,7 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
     | Some st -> st
     | None -> failwith ("absint: fsm has no state " ^ name)
   in
-  let entry : (string, (string * Dom.t) list) Hashtbl.t = Hashtbl.create 16 in
+  let entry : (string, Dom.t array) Hashtbl.t = Hashtbl.create 16 in
   let joins : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let queue = Queue.create () in
   let queued : (string, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -1506,8 +1542,7 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
   in
   let narrow_budget = 16 * List.length narrow_names in
   (* target -> (source -> that source's latest contribution) *)
-  let contrib_to : (string, (string, (string * Dom.t) list) Hashtbl.t) Hashtbl.t
-      =
+  let contrib_to : (string, (string, Dom.t array) Hashtbl.t) Hashtbl.t =
     Hashtbl.create 16
   in
   let contrib_tbl t =
@@ -1615,7 +1650,7 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
           match !verdict with
           | Dynamic_cycle _ -> () (* an error already; keep first witness *)
           | _ -> (
-              match residual_cycle members resolved with
+              match residual_cycle prep members resolved with
               | None -> ()
               | Some (through, all_resolved) ->
                   if all_resolved then
@@ -1634,8 +1669,7 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
       verdicts
   in
   {
-    dp;
-    fsm;
+    seq_names = Array.map (fun (op : Elab.op) -> op.Elab.name) prep.seq;
     entry;
     diags = fact_diags prep facts;
     findings;
@@ -1643,6 +1677,35 @@ let analyze ?(widen_after = 8) ?(memories = []) dp fsm =
     iterations = !iterations;
     seconds = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9;
   }
+
+(* A memo of finished analyses, keyed by a digest of the marshalled
+   inputs. [No_sharing] makes structurally equal inputs marshal to the
+   same bytes, whether or not their values are physically shared. *)
+type cache = { lock : Mutex.t; table : (Digest.t, t) Hashtbl.t }
+
+let create_cache () = { lock = Mutex.create (); table = Hashtbl.create 16 }
+
+let analyze ?cache ?(widen_after = 8) ?(memories = []) dp fsm =
+  match cache with
+  | None -> run ~widen_after ~memories dp fsm
+  | Some c -> (
+      let key =
+        Digest.string
+          (Marshal.to_string (dp, fsm, memories, widen_after)
+             [ Marshal.No_sharing ])
+      in
+      match Mutex.protect c.lock (fun () -> Hashtbl.find_opt c.table key) with
+      | Some t -> t
+      | None ->
+          (* Analyse outside the lock; when two domains race on one key,
+             the first result stored is the one both return. *)
+          let t = run ~widen_after ~memories dp fsm in
+          Mutex.protect c.lock (fun () ->
+              match Hashtbl.find_opt c.table key with
+              | Some first -> first
+              | None ->
+                  Hashtbl.add c.table key t;
+                  t))
 
 let diagnostics t = t.diags
 let cycle_findings t = t.findings
@@ -1656,9 +1719,13 @@ let reg_interval t ~state ~reg =
   match Hashtbl.find_opt t.entry state with
   | None -> None
   | Some store ->
-      Option.map
-        (fun (d : Dom.t) -> (d.Dom.lo, d.Dom.hi))
-        (List.assoc_opt reg store)
+      let rec find i =
+        if i >= Array.length t.seq_names then None
+        else if t.seq_names.(i) = reg then
+          Some (store.(i).Dom.lo, store.(i).Dom.hi)
+        else find (i + 1)
+      in
+      find 0
 
 let iterations t = t.iterations
 let wall_seconds t = t.seconds

@@ -123,7 +123,17 @@ type cycle_finding = { members : string list;  (** Sorted SCC. *) cycle_verdict 
 
 type t
 
+type cache
+(** A memo of finished analyses. Looking an analysis up costs a digest of
+    the marshalled inputs ([datapath], [fsm], [memories],
+    [widen_after]), so a regenerated but content-equal design hits.
+    Safe to share between domains. A cache lives as long as its owner
+    (one per {!Compiler.Compile.t}); nothing is process-global. *)
+
+val create_cache : unit -> cache
+
 val analyze :
+  ?cache:cache ->
   ?widen_after:int ->
   ?memories:(string * int list) list ->
   Netlist.Datapath.t ->
@@ -148,7 +158,12 @@ val analyze :
     decision implies (the taken guard holds, every earlier examined
     guard failed), pushed backward from status endpoints through
     resolved muxes and one comparison level onto unwritten registers.
-    Contradictory edges are infeasible and are dropped. *)
+    Contradictory edges are infeasible and are dropped.
+
+    With [cache], an input already analysed through the same cache
+    returns the stored result (physically the same [t], its
+    {!wall_seconds} and {!iterations} those of the original fixpoint);
+    a miss runs the fixpoint and stores it. Failures are not stored. *)
 
 val diagnostics : t -> Diag.t list
 (** AI001–AI005, deterministic order (operators in document order, the

@@ -21,6 +21,7 @@ type t = {
   partitions : partition list;
   rtg : Rtg.t;
   mutable tv : Tv.report list;
+  absint : Absint.cache;
 }
 
 exception Error of string list
@@ -225,16 +226,16 @@ let certify ?bounds t =
           if t.options.share_operators then
             push Tv.Share_pass
               (timed (fun () ->
-                   Tv.validate_hardware ?bounds ~memories:mem_inits
-                     ~pass:Tv.Share_pass
+                   Tv.validate_hardware ?bounds ~cache:t.absint
+                     ~memories:mem_inits ~pass:Tv.Share_pass
                      ~reference:
                        (generate ~share:false ~fold:t.options.fold_branches)
                      ~candidate:(p.datapath, p.fsm) ()));
           if t.options.fold_branches then
             push Tv.Fold_pass
               (timed (fun () ->
-                   Tv.validate_hardware ?bounds ~memories:mem_inits
-                     ~pass:Tv.Fold_pass
+                   Tv.validate_hardware ?bounds ~cache:t.absint
+                     ~memories:mem_inits ~pass:Tv.Fold_pass
                      ~reference:
                        (generate ~share:t.options.share_operators ~fold:false)
                      ~candidate:(p.datapath, p.fsm) ()));
@@ -249,7 +250,7 @@ let certify ?bounds t =
 let lint_deep t =
   let datapaths, fsms = bundle_docs t in
   let deep =
-    Lint.run_deep
+    Lint.run_deep ~cache:t.absint
       ~mem_inits:(readonly_mem_inits t.program)
       ~rtg:t.rtg ~datapaths ~fsms ()
   in
@@ -338,6 +339,7 @@ let compile ?(options = default_options) ?(deep_gate = false)
       partitions;
       rtg;
       tv = [];
+      absint = Absint.create_cache ();
     }
   in
   let gate_diags =

@@ -47,6 +47,10 @@ type t = {
       (** Per-pass translation-validation certificates under
           {!Tv.default_bounds}, filled by {!certify} (empty until
           requested). *)
+  absint : Absint.cache;
+      (** The memo of {!Absint} analyses shared by {!certify},
+          {!lint_deep} and [Fastsim.admissible]: each distinct design
+          is analysed once per compile. *)
 }
 
 exception Error of string list

@@ -375,7 +375,10 @@ let admissible (compiled : Compile.t) =
     else
       (* Structurally cyclic: admit only when the abstract interpreter
          proves every cyclic component dynamically acyclic (AI007). *)
-      match Absint.analyze p.Compile.datapath p.Compile.fsm with
+      match
+        Absint.analyze ~cache:compiled.Compile.absint p.Compile.datapath
+          p.Compile.fsm
+      with
       | exception e ->
           Error
             (Printf.sprintf "partition %s: cycle analysis failed (%s)"

@@ -420,7 +420,7 @@ let dp013_matches dp_name members (d : Diag.t) =
   && d.Diag.location
      = Printf.sprintf "datapath %s / operator %s" dp_name (List.hd members)
 
-let run_deep ?guard_limit ?(mem_inits = []) ~rtg ~datapaths ~fsms () =
+let run_deep ?guard_limit ?cache ?(mem_inits = []) ~rtg ~datapaths ~fsms () =
   let base = run_bundle ?guard_limit ~rtg ~datapaths ~fsms () in
   (* The engine needs structurally clean, linkable documents; with
      errors present the shallow result stands alone. *)
@@ -435,7 +435,7 @@ let run_deep ?guard_limit ?(mem_inits = []) ~rtg ~datapaths ~fsms () =
               List.assoc_opt c.Rtg.fsm_ref fsms )
           with
           | Some dp, Some fsm -> (
-              match Absint.analyze ~memories:mem_inits dp fsm with
+              match Absint.analyze ?cache ~memories:mem_inits dp fsm with
               | r -> Some (c, `Analyzed r)
               | exception Failure msg -> Some (c, `Failed msg))
           | _ -> None (* XL001 is an error; unreachable here *))

@@ -137,6 +137,7 @@ type deep = {
 
 val run_deep :
   ?guard_limit:int ->
+  ?cache:Absint.cache ->
   ?mem_inits:(string * int list) list ->
   rtg:Rtg.t ->
   datapaths:(string * Netlist.Datapath.t) list ->
@@ -154,7 +155,9 @@ val run_deep :
     [mem_inits] declares initial memory contents by backing-memory name,
     with the {!Absint.analyze} contract: only list memories nothing
     outside the designs mutates (the compiler passes its read-only
-    memories). Callers layering translation validation on top of this
+    memories). [cache] is handed to every {!Absint.analyze} call, so a
+    configuration analysed before through the same cache is not
+    analysed again. Callers layering translation validation on top of this
     report (see [Compile.lint_deep]) append [TV001] (error, a pass
     refuted), [TV002] (warning, a validation bound exhausted) and
     [TV003] (note, a pass validated) diagnostics after these. *)

@@ -893,9 +893,9 @@ let stutter ~(bounds : bounds) ~nodes rside cside =
 (* ------------------------------------------------------------------ *)
 (* Invariant preservation                                               *)
 
-let invariants_preserved ?memories rside cside =
+let invariants_preserved ?cache ?memories rside cside =
   let run side =
-    try Ok (Absint.analyze ?memories side.dp side.fsm)
+    try Ok (Absint.analyze ?cache ?memories side.dp side.fsm)
     with Failure m -> Error m
   in
   (* A lost proof is never a counterexample: the abstract interpreter
@@ -953,8 +953,8 @@ let invariants_preserved ?memories rside cside =
 
 (* ------------------------------------------------------------------ *)
 
-let validate_hardware ?(bounds = default_bounds) ?memories ~pass ~reference
-    ~candidate () =
+let validate_hardware ?(bounds = default_bounds) ?cache ?memories ~pass
+    ~reference ~candidate () =
   let rside = make_side reference and cside = make_side candidate in
   let nodes = ref 0 in
   Et.set_node_limit (Some bounds.max_nodes);
@@ -966,7 +966,7 @@ let validate_hardware ?(bounds = default_bounds) ?memories ~pass ~reference
           "Tv.validate_hardware: Optimize_pass is validated at source level"
     | Share_pass -> lockstep ~bounds ~nodes rside cside
     | Fold_pass -> stutter ~bounds ~nodes rside cside);
-    invariants_preserved ?memories rside cside;
+    invariants_preserved ?cache ?memories rside cside;
     Proved
   with
   | Refute witness -> Refuted { witness }

@@ -128,6 +128,7 @@ val validate_source :
 
 val validate_hardware :
   ?bounds:bounds ->
+  ?cache:Absint.cache ->
   ?memories:(string * int list) list ->
   pass:pass ->
   reference:Netlist.Datapath.t * Fsmkit.Fsm.t ->
@@ -138,6 +139,7 @@ val validate_hardware :
     (stuttering product with state-map witness); raises
     [Invalid_argument] on {!Optimize_pass}. [memories] declares initial
     contents for the {!Absint} invariant-preservation query, with the
-    same contract as {!Absint.analyze}. Both documents must pass their
+    same contract as {!Absint.analyze}; [cache] is handed to both of its
+    {!Absint.analyze} calls. Both documents must pass their
     dialect validation; an invalid datapath raises
     {!Netlist.Datapath.Invalid}. *)
