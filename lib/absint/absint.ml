@@ -12,7 +12,8 @@ let umax width = if width >= 62 then max_int else (1 lsl width) - 1
 (* Smallest [n] with [v < 2^n]. *)
 let bits_needed v =
   let rec go n v = if v = 0 then n else go (n + 1) (v lsr 1) in
-  go 0 v
+  let rec bytes n v = if v lsr 8 = 0 then go n v else bytes (n + 8) (v lsr 8) in
+  bytes 0 v
 
 module Dom = struct
   type t = {
@@ -55,10 +56,23 @@ module Dom = struct
     let v = v land umax width in
     { width; lo = v; hi = v; kmask = umax width; kval = v; taint = [] }
 
-  let with_taint taint d = { d with taint = List.sort_uniq compare taint }
+  (* Taint lists are kept sorted and duplicate-free, so the empty cases
+     of the two functions below need no sort. *)
+  let with_taint taint d =
+    match taint with
+    | [] | [ _ ] -> if taint == d.taint then d else { d with taint }
+    | _ -> { d with taint = List.sort_uniq compare taint }
+
   let is_const d = if d.lo = d.hi then Some d.lo else None
   let contains d v = v >= d.lo && v <= d.hi && v land d.kmask = d.kval
-  let union_taint a b = List.sort_uniq compare (a @ b)
+
+  let union_taint a b =
+    match (a, b) with
+    | [], t | t, [] -> t
+    | _ -> List.sort_uniq compare (a @ b)
+
+  (* [d] carrying [taint], sharing [d] when it already does. *)
+  let set_taint taint d = if d.taint == taint then d else { d with taint }
 
   let join a b =
     if a.width <> b.width then
@@ -77,30 +91,43 @@ module Dom = struct
       }
 
   (* Interval widening: a bound still moving after the join budget jumps
-     outward — to the next threshold in [thresholds] (sorted ascending)
-     when one exists, else straight to the domain bound. Thresholds are
-     harvested from the design's literal constants and memory sizes, so
-     a loop counter climbing toward [i < 9] lands on 9 instead of the
-     domain maximum. Known bits and taint only descend / grow within
-     finite lattices, so the plain join suffices there. *)
-  let widen ?(thresholds = []) ~prev ~next () =
+     outward — to the next threshold in [thresholds] (sorted ascending,
+     without duplicates) when one exists, else straight to the domain
+     bound. Thresholds are harvested from the design's literal constants
+     and memory sizes, so a loop counter climbing toward [i < 9] lands on
+     9 instead of the domain maximum. Known bits and taint only descend /
+     grow within finite lattices, so the plain join suffices there. *)
+  let widen_sorted thresholds ~prev ~next =
     let j = join prev next in
     let m = umax prev.width in
+    (* Number of thresholds [<= x]. *)
+    let rank x =
+      let rec go lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if thresholds.(mid) <= x then go (mid + 1) hi else go lo mid
+      in
+      go 0 (Array.length thresholds)
+    in
     let lo =
       if j.lo < prev.lo then
-        List.fold_left
-          (fun acc t -> if t <= j.lo && t > acc then t else acc)
-          0 thresholds
+        let r = rank j.lo in
+        if r = 0 then 0 else max 0 thresholds.(r - 1)
       else j.lo
     in
     let hi =
       if j.hi > prev.hi then
-        List.fold_left
-          (fun acc t -> if t >= j.hi && t < acc then t else acc)
-          m thresholds
+        let r = rank (j.hi - 1) in
+        if r = Array.length thresholds then m else min m thresholds.(r)
       else j.hi
     in
     norm { j with lo; hi }
+
+  let widen ?(thresholds = []) ~prev ~next () =
+    widen_sorted
+      (Array.of_list (List.sort_uniq compare thresholds))
+      ~prev ~next
 
   let equal a b =
     a.width = b.width && a.lo = b.lo && a.hi = b.hi && a.kmask = b.kmask
@@ -231,7 +258,7 @@ module Dom = struct
           | Maxu -> iv (max a.lo b.lo) (max a.hi b.hi)
           | Mins | Maxs -> join a b (* the result is one of the two *))
     in
-    { r with taint }
+    set_taint taint r
 
   (* Three-valued unsigned [a < b] and [a <= b]; [>]/[>=] swap sides. *)
   let ult3 a b =
@@ -277,7 +304,7 @@ module Dom = struct
             | Gts -> signed ult3 b a
             | Ges -> signed ule3 b a)
     in
-    { r with taint }
+    set_taint taint r
 
   let resize_u a width =
     if width >= a.width then
@@ -383,7 +410,7 @@ module Dom = struct
           let half = if a.width = 1 then 1 else 1 lsl (a.width - 1) in
           if a.hi < half then { a with taint = [] } else top ~width:a.width
     in
-    { r with taint }
+    set_taint taint r
 end
 
 (* ------------------------------------------------------------------ *)
@@ -490,6 +517,8 @@ type prep = {
   seq : Elab.op array; (* reg + counter, doc order: the store layout *)
   muxes : Elab.op array; (* comb muxes, doc order *)
   statuses : (string, int) Hashtbl.t; (* status name -> tapped op id *)
+  ctl_index : (string, int) Hashtbl.t; (* control name -> index *)
+  ctl_defaults : int option array; (* the FSM output's default value *)
   mem_contents : int array option array;
       (* op id -> initial words (zero-padded to size), for memory ports
          proved read-only within this design whose initial contents the
@@ -615,6 +644,16 @@ let build_prep ?(memories = []) e fsm =
       Array.of_list
         (List.filter (fun (o : Elab.op) -> o.Elab.kind = Mux) (Elab.comb e));
     statuses;
+    ctl_index;
+    ctl_defaults =
+      Array.of_list
+        (List.map
+           (fun (c : Dp.control) ->
+             List.find_opt
+               (fun (o : Fsm.io) -> o.Fsm.io_name = c.Dp.ctl_name)
+               fsm.Fsm.outputs
+             |> Option.map (fun (o : Fsm.io) -> o.Fsm.default))
+           dp.Dp.controls);
     mem_contents;
     orders = Hashtbl.create 16;
     controls = Hashtbl.create 16;
@@ -707,22 +746,46 @@ let eval_comb prep cells resolved (op : Elab.op) =
    structural cycles; the loop re-restricts until no select resolves
    further. Operators on residual cycles conservatively evaluate to
    top. Returns the resolved selects (op id -> selected input, -1 for
-   none). *)
+   none).
+
+   Each pass after the first re-evaluates only what can differ from the
+   previous pass: the muxes resolved since, the operators that left the
+   residual cycles, and the operators an input of which changed value.
+   Every other value is what a full re-evaluation would recompute, so
+   the result is the same. *)
 let settle prep cells =
-  let resolved = Array.make (Array.length prep.ops) (-1) in
-  let continue_ = ref true in
+  let n = Array.length prep.ops in
+  let resolved = Array.make n (-1) in
+  let stale = Array.make n true (* must be evaluated in the next pass *)
+  and changed = Array.make n (-1) (* last pass that changed the value *) in
+  let pass = ref 0 and continue_ = ref true in
   while !continue_ do
     continue_ := false;
     let order, stuck = levelized prep resolved in
     (* Residual-cycle members evaluate to top — sound for any value
-       they could oscillate through. *)
+       they could oscillate through. The residual cycles only shrink
+       from pass to pass, so this is their value from the first. *)
+    if !pass = 0 then
+      Array.iter
+        (fun (op : Elab.op) ->
+          cells.vals.(op.Elab.id) <- Dom.top ~width:(out_width op))
+        stuck;
+    let k = !pass in
+    let moved src = src >= 0 && changed.(src) = k in
     Array.iter
       (fun (op : Elab.op) ->
-        cells.vals.(op.Elab.id) <- Dom.top ~width:(out_width op))
-      stuck;
-    Array.iter
-      (fun (op : Elab.op) ->
-        cells.vals.(op.Elab.id) <- eval_comb prep cells resolved op)
+        let id = op.Elab.id in
+        let i = resolved.(id) in
+        if
+          stale.(id)
+          || (if i >= 0 then moved prep.nodes.(id).ins.(i)
+              else Array.exists moved prep.nodes.(id).inputs)
+        then begin
+          let v = eval_comb prep cells resolved op in
+          if k = 0 || not (Dom.equal v cells.vals.(id)) then changed.(id) <- k;
+          cells.vals.(id) <- v;
+          stale.(id) <- false
+        end)
       order;
     (* Resolve further mux selects now that values exist. *)
     Array.iter
@@ -732,9 +795,11 @@ let settle prep cells =
           match Dom.is_const (get cells prep.nodes.(id).sel) with
           | Some c ->
               resolved.(id) <- min c (Array.length prep.nodes.(id).ins - 1);
+              stale.(id) <- true;
               continue_ := true
           | None -> ())
-      prep.muxes
+      prep.muxes;
+    incr pass
   done;
   resolved
 
@@ -745,18 +810,25 @@ let controls_in prep (st : Fsm.state) =
   match Hashtbl.find_opt prep.controls st.Fsm.sname with
   | Some ctl -> ctl
   | None ->
+      (* {!Fsm.output_in_state} for every control: the state's first
+         setting of the output, else the output's default. *)
+      let v = Array.copy prep.ctl_defaults in
+      List.iter
+        (fun (name, x) ->
+          match Hashtbl.find_opt prep.ctl_index name with
+          | Some i -> v.(i) <- Some x
+          | None -> ())
+        (List.rev st.Fsm.settings);
       let ctl =
         Array.of_list
-          (List.map
-             (fun (c : Dp.control) ->
-               let v =
-                 try Fsm.output_in_state prep.p_fsm st c.Dp.ctl_name
-                 with Failure _ ->
+          (List.mapi
+             (fun i (c : Dp.control) ->
+               match v.(i) with
+               | Some x -> Dom.const ~width:c.Dp.ctl_width x
+               | None ->
                    failwith
                      (Printf.sprintf "absint: design has no control %S"
-                        c.Dp.ctl_name)
-               in
-               Dom.const ~width:c.Dp.ctl_width v)
+                        c.Dp.ctl_name))
              prep.p_dp.Dp.controls)
       in
       Hashtbl.replace prep.controls st.Fsm.sname ctl;
@@ -835,8 +907,8 @@ let init_store prep =
 
 let store_join = Array.map2 Dom.join
 
-let store_widen ?thresholds ~prev ~next () =
-  Array.map2 (fun a b -> Dom.widen ?thresholds ~prev:a ~next:b ()) prev next
+let store_widen thresholds ~prev ~next =
+  Array.map2 (fun a b -> Dom.widen_sorted thresholds ~prev:a ~next:b) prev next
 
 let store_equal a b = Array.for_all2 Dom.equal a b
 
@@ -1474,7 +1546,7 @@ let run ~widen_after ~memories dp fsm =
    with Fsm.Invalid msgs ->
      failwith ("absint: invalid fsm: " ^ String.concat "; " msgs));
   let prep = build_prep ~memories e fsm in
-  let thresholds = widening_thresholds e in
+  let thresholds = Array.of_list (widening_thresholds e) in
   let state_of name =
     match Fsm.find_state fsm name with
     | Some st -> st
@@ -1515,7 +1587,7 @@ let run ~widen_after ~memories dp fsm =
             Hashtbl.replace joins target j;
             let merged =
               if j > widen_after then
-                store_widen ~thresholds ~prev:old ~next:joined ()
+                store_widen thresholds ~prev:old ~next:joined
               else joined
             in
             if not (store_equal old merged) then begin
