@@ -69,9 +69,11 @@ let run ?options ?clock_period ?max_cycles ?(fail_on_oob = false) ?budget
   let compiled = Compiler.Compile.compile ?options prog in
   let golden_lookup, golden_stores = memory_env prog ~inits in
   let hw_lookup, hw_stores = memory_env prog ~inits in
-  let golden_started = Sys.time () in
+  let golden_started = Monotonic_clock.now () in
   let golden_vars, golden_stats = Lang.Interp.run ~memories:golden_lookup prog in
-  let golden_seconds = Sys.time () -. golden_started in
+  let golden_seconds =
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) golden_started) *. 1e-9
+  in
   let golden_oob = total_oob golden_stores in
   let hw_run =
     Simulate.run_compiled ?clock_period ?max_cycles ?budget

@@ -26,6 +26,8 @@ type t = {
           [assert] statements). *)
   compiled : Compiler.Compile.t;
   golden_seconds : float;
+      (** Elapsed wall time of the golden software run, on the monotonic
+          clock. *)
   golden_oob : int;
       (** Out-of-range memory accesses during the golden software run. *)
   hw_oob : int;

@@ -427,6 +427,144 @@ let test_builtin_kernels_deep_clean () =
         Testinfra.Suite.default_variants)
     (Testinfra.Suite.builtin_cases ())
 
+(* --- the per-compile memo ------------------------------------------------ *)
+
+(* A fresh compile of a builtin kernel: every call regenerates the
+   documents, so two calls give content-equal but physically distinct
+   designs. *)
+let fresh_partition ?(options = Compile.default_options) name =
+  let case =
+    List.find
+      (fun (c : Testinfra.Suite.case) -> c.Testinfra.Suite.case_name = name)
+      (Testinfra.Suite.builtin_cases ())
+  in
+  let compiled =
+    Compile.compile ~options (Lang.Parser.parse_string case.Testinfra.Suite.source)
+  in
+  let p = List.hd compiled.Compile.partitions in
+  (p.Compile.datapath, p.Compile.fsm)
+
+let same_analysis what a b =
+  Alcotest.(check (list string))
+    (what ^ ": diagnostics")
+    (List.map Diag.to_string (Absint.diagnostics a))
+    (List.map Diag.to_string (Absint.diagnostics b));
+  Alcotest.(check bool)
+    (what ^ ": cycle findings") true
+    (Absint.cycle_findings a = Absint.cycle_findings b);
+  Alcotest.(check int)
+    (what ^ ": iterations") (Absint.iterations a) (Absint.iterations b);
+  Alcotest.(check (list string))
+    (what ^ ": reachable states")
+    (Absint.reachable_states a) (Absint.reachable_states b)
+
+let test_cache_hits_regenerated_design () =
+  let cache = Absint.create_cache () in
+  let dp1, fsm1 = fresh_partition "gcd" and dp2, fsm2 = fresh_partition "gcd" in
+  Alcotest.(check bool) "the two compiles are distinct values" false (dp1 == dp2);
+  let a = Absint.analyze ~cache dp1 fsm1 in
+  let b = Absint.analyze ~cache dp2 fsm2 in
+  Alcotest.(check bool) "content-equal design hits" true (a == b);
+  let dp3, fsm3 = fresh_partition "sum" in
+  Alcotest.(check bool) "another design misses" false
+    (Absint.analyze ~cache dp3 fsm3 == a)
+
+let test_cache_key_covers_options () =
+  let cache = Absint.create_cache () in
+  let dp, fsm = fresh_partition "vecadd" in
+  let base = Absint.analyze ~cache dp fsm in
+  let mem = Absint.analyze ~cache ~memories:[ ("a", [ 1; 2; 3 ]) ] dp fsm in
+  let widen = Absint.analyze ~cache ~widen_after:2 dp fsm in
+  Alcotest.(check bool) "other memories miss" false (mem == base);
+  Alcotest.(check bool) "other widen_after misses" false (widen == base);
+  Alcotest.(check bool) "explicit defaults hit" true
+    (Absint.analyze ~cache ~widen_after:8 ~memories:[] dp fsm == base);
+  Alcotest.(check bool) "memories entry hits again" true
+    (Absint.analyze ~cache ~memories:[ ("a", [ 1; 2; 3 ]) ] dp fsm == mem)
+
+let test_cache_matches_uncached () =
+  let cache = Absint.create_cache () in
+  List.iter
+    (fun (name, options) ->
+      let dp, fsm = fresh_partition ~options name in
+      let miss = Absint.analyze ~cache dp fsm in
+      let hit = Absint.analyze ~cache dp fsm in
+      Alcotest.(check bool) (name ^ ": second call hits") true (hit == miss);
+      same_analysis name hit (Absint.analyze dp fsm))
+    [
+      ("gcd", Compile.default_options);
+      ("sort", Compile.default_options);
+      ("hamming", { Compile.default_options with Compile.share_operators = true });
+    ]
+
+let test_cache_across_domains () =
+  let designs =
+    List.map (fun name -> (name, fresh_partition name)) [ "gcd"; "sum"; "fir" ]
+  in
+  let cache = Absint.create_cache () in
+  let pool = Testinfra.Pool.create ~jobs:2 () in
+  (* Every design four times, interleaved, so both domains race on each
+     key. *)
+  let tasks = List.concat (List.init 4 (fun _ -> designs)) in
+  let results =
+    List.map
+      (function Ok r -> r | Error e -> raise e)
+      (Testinfra.Pool.map pool
+         (fun (_, (dp, fsm)) -> Absint.analyze ~cache dp fsm)
+         tasks)
+  in
+  List.iter
+    (fun (name, (dp, fsm)) ->
+      let mine =
+        List.filter_map
+          (fun ((n, _), r) -> if n = name then Some r else None)
+          (List.combine tasks results)
+      in
+      let first = List.hd mine in
+      Alcotest.(check bool)
+        (name ^ ": every domain got the stored analysis")
+        true
+        (List.for_all (fun r -> r == first) mine);
+      same_analysis name first (Absint.analyze dp fsm))
+    designs
+
+(* The widening jump, as the linear search over the thresholds states
+   it: the largest threshold at or below a falling lower bound (else 0),
+   the smallest at or above a rising upper bound (else the maximum). *)
+let prop_widen_thresholds =
+  let open QCheck2 in
+  let width = 8 in
+  let dom =
+    Gen.(
+      map
+        (fun (a, b) -> Dom.join (Dom.const ~width a) (Dom.const ~width b))
+        (pair (int_bound 255) (int_bound 255)))
+  in
+  Test.make ~name:"widening lands on the nearest threshold" ~count:500
+    Gen.(triple dom dom (list_size (int_bound 8) (int_bound 300)))
+    (fun (prev, next, thresholds) ->
+      let w = Dom.widen ~thresholds ~prev ~next () in
+      let j = Dom.join prev next in
+      let lo =
+        if j.Dom.lo < prev.Dom.lo then
+          List.fold_left
+            (fun acc t -> if t <= j.Dom.lo && t > acc then t else acc)
+            0 thresholds
+        else j.Dom.lo
+      and hi =
+        if j.Dom.hi > prev.Dom.hi then
+          List.fold_left
+            (fun acc t -> if t >= j.Dom.hi && t < acc then t else acc)
+            255 thresholds
+        else j.Dom.hi
+      in
+      (* [norm] may tighten the jumped bounds further by known bits, so
+         compare against the interval the jump allows. *)
+      w.Dom.lo >= lo && w.Dom.hi <= hi
+      && Dom.contains w j.Dom.lo && Dom.contains w j.Dom.hi
+      && (w.Dom.lo = lo || w.Dom.kmask <> 0)
+      && (w.Dom.hi = hi || w.Dom.kmask <> 0))
+
 (* --- the soundness oracle ------------------------------------------------ *)
 
 (* For every step the cycle simulator takes, the abstract interval of
@@ -509,5 +647,14 @@ let suite =
     Alcotest.test_case "fix_dir in place" `Quick test_fix_dir_in_place;
     Alcotest.test_case "builtin kernels deep-clean" `Quick
       test_builtin_kernels_deep_clean;
+    Alcotest.test_case "memo hits a regenerated design" `Quick
+      test_cache_hits_regenerated_design;
+    Alcotest.test_case "memo key covers memories and widen_after" `Quick
+      test_cache_key_covers_options;
+    Alcotest.test_case "memo results equal uncached analyses" `Quick
+      test_cache_matches_uncached;
+    Alcotest.test_case "memo shared by two pool domains" `Quick
+      test_cache_across_domains;
+    QCheck_alcotest.to_alcotest prop_widen_thresholds;
     QCheck_alcotest.to_alcotest prop_absint_sound;
   ]
