@@ -523,9 +523,34 @@ type prep = {
       (* op id -> initial words (zero-padded to size), for memory ports
          proved read-only within this design whose initial contents the
          caller declared via [analyze ?memories]. *)
-  orders : (string, Elab.op array * Elab.op array) Hashtbl.t;
-      (* resolved mux-select pattern -> levelized (order, stuck) *)
-  controls : (string, Dom.t array) Hashtbl.t; (* state -> control values *)
+  consumers : int array array; (* op id -> combinational consumer ids *)
+  orders : (string, split) Hashtbl.t; (* resolved-select pattern -> split *)
+  visits : (string, visit) Hashtbl.t; (* state -> its evaluation *)
+  (* Scratch of {!eval_state}: a pass stamp, the stamp each op was last
+     queued in, and the work heap of positions. *)
+  mutable stamp : int;
+  queued : int array;
+  heap : int array;
+  mutable heap_size : int;
+}
+
+(* The levelized combinational network under one resolved-select
+   pattern. *)
+and split = {
+  order : Elab.op array;
+  stuck : Elab.op array; (* residual-cycle members and their fanout *)
+  pos : int array; (* op id -> position in [order], -1 if not there *)
+}
+
+(* One state's cells, kept between its visits. [values] holds the values
+   of the last visit's settle; [undo] restores those of its first pass
+   (no select resolved), which a revisit updates incrementally. *)
+and visit = {
+  values : Dom.t array;
+  ctl_vals : Dom.t array;
+  resolved : int array; (* mux id -> selected input, -1 for none *)
+  mutable first_store : Dom.t array option; (* store of the kept first pass *)
+  mutable undo : (int * Dom.t) list; (* newest first *)
 }
 
 let memory_name (op : Elab.op) =
@@ -655,8 +680,22 @@ let build_prep ?(memories = []) e fsm =
              |> Option.map (fun (o : Fsm.io) -> o.Fsm.default))
            dp.Dp.controls);
     mem_contents;
+    consumers =
+      Array.of_list
+        (List.map
+           (fun o ->
+             Array.of_list
+               (List.filter_map
+                  (fun (c : Elab.op) ->
+                    if Opkind.is_comb c.Elab.kind then Some c.Elab.id else None)
+                  (Elab.consumers o)))
+           ops);
     orders = Hashtbl.create 16;
-    controls = Hashtbl.create 16;
+    visits = Hashtbl.create 16;
+    stamp = 0;
+    queued = Array.make (List.length ops) (-1);
+    heap = Array.make (List.length ops) 0;
+    heap_size = 0;
   }
 
 let out_width (op : Elab.op) = (Elab.out_port op).Opspec.port_width
@@ -683,7 +722,10 @@ let levelized prep resolved =
         else Elab.comb_preds op
       in
       let order, stuck = Elab.levelize prep.e ~deps in
-      let split = (Array.of_list order, Array.of_list stuck) in
+      let order = Array.of_list order in
+      let pos = Array.make (Array.length prep.ops) (-1) in
+      Array.iteri (fun i (op : Elab.op) -> pos.(op.Elab.id) <- i) order;
+      let split = { order; stuck = Array.of_list stuck; pos } in
       Hashtbl.add prep.orders key split;
       split
 
@@ -740,107 +782,184 @@ let eval_comb prep cells resolved (op : Elab.op) =
   | Cmp c -> Dom.cmp c (get n.a) (get n.b)
   | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
 
-(* One abstract settle of the combinational network in a single FSM
-   state. Muxes whose select evaluates to a constant are restricted to
-   their selected input, which both sharpens values and breaks
-   structural cycles; the loop re-restricts until no select resolves
-   further. Operators on residual cycles conservatively evaluate to
-   top. Returns the resolved selects (op id -> selected input, -1 for
-   none).
+(* Abstract values of the control cells in a state: the Moore decode
+   is exact, every control is a compile-time constant per state. This is
+   {!Fsm.output_in_state} for every control: the state's first setting
+   of the output, else the output's default. *)
+let controls_in prep (st : Fsm.state) =
+  let v = Array.copy prep.ctl_defaults in
+  List.iter
+    (fun (name, x) ->
+      match Hashtbl.find_opt prep.ctl_index name with
+      | Some i -> v.(i) <- Some x
+      | None -> ())
+    (List.rev st.Fsm.settings);
+  Array.of_list
+    (List.mapi
+       (fun i (c : Dp.control) ->
+         match v.(i) with
+         | Some x -> Dom.const ~width:c.Dp.ctl_width x
+         | None ->
+             failwith
+               (Printf.sprintf "absint: design has no control %S" c.Dp.ctl_name))
+       prep.p_dp.Dp.controls)
 
-   Each pass after the first re-evaluates only what can differ from the
-   previous pass: the muxes resolved since, the operators that left the
-   residual cycles, and the operators an input of which changed value.
-   Every other value is what a full re-evaluation would recompute, so
-   the result is the same. *)
-let settle prep cells =
-  let n = Array.length prep.ops in
-  let resolved = Array.make n (-1) in
-  let stale = Array.make n true (* must be evaluated in the next pass *)
-  and changed = Array.make n (-1) (* last pass that changed the value *) in
-  let pass = ref 0 and continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let order, stuck = levelized prep resolved in
-    (* Residual-cycle members evaluate to top — sound for any value
-       they could oscillate through. The residual cycles only shrink
-       from pass to pass, so this is their value from the first. *)
-    if !pass = 0 then
+let visit_of prep (st : Fsm.state) =
+  match Hashtbl.find_opt prep.visits st.Fsm.sname with
+  | Some v -> v
+  | None ->
+      let n = Array.length prep.ops in
+      let v =
+        {
+          values = Array.make n (Dom.top ~width:1);
+          ctl_vals = controls_in prep st;
+          resolved = Array.make n (-1);
+          first_store = None;
+          undo = [];
+        }
+      in
+      Hashtbl.replace prep.visits st.Fsm.sname v;
+      v
+
+(* The work heap: a binary min-heap of positions in a pass's order. *)
+let push prep p =
+  let h = prep.heap in
+  let rec up i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && h.(parent) > p then begin
+      h.(i) <- h.(parent);
+      up parent
+    end
+    else h.(i) <- p
+  in
+  up prep.heap_size;
+  prep.heap_size <- prep.heap_size + 1
+
+let pop prep =
+  let h = prep.heap in
+  let min = h.(0) in
+  let n = prep.heap_size - 1 in
+  prep.heap_size <- n;
+  let last = h.(n) in
+  let rec down i =
+    let l = (2 * i) + 1 in
+    if l >= n then h.(i) <- last
+    else
+      let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+      if h.(c) < last then begin
+        h.(i) <- h.(c);
+        down c
+      end
+      else h.(i) <- last
+  in
+  if n > 0 then down 0;
+  min
+
+(* Queues operator [id] for the current pass when it is in the pass's
+   order and not queued yet. *)
+let enqueue prep split id =
+  let p = split.pos.(id) in
+  if p >= 0 && prep.queued.(id) <> prep.stamp then begin
+    prep.queued.(id) <- prep.stamp;
+    push prep p
+  end
+
+(* Evaluates the queued operators in the order of [split], queueing the
+   consumers of every value that changes (a resolved mux consumes only
+   its selected input). With [log], each overwritten value goes to the
+   visit's [undo]. *)
+let evaluate prep (v : visit) cells split ~log =
+  while prep.heap_size > 0 do
+    let op = split.order.(pop prep) in
+    let id = op.Elab.id in
+    let d = eval_comb prep cells v.resolved op in
+    let old = cells.vals.(id) in
+    if not (Dom.equal d old) then begin
+      if log then v.undo <- (id, old) :: v.undo;
+      cells.vals.(id) <- d;
+      Array.iter
+        (fun c ->
+          let i = v.resolved.(c) in
+          if i < 0 || prep.nodes.(c).ins.(i) = id then enqueue prep split c)
+        prep.consumers.(id)
+    end
+  done
+
+(* One abstract settle of the combinational network in a single FSM
+   state under an entry store. Muxes whose select evaluates to a
+   constant are restricted to their selected input, which both sharpens
+   values and breaks structural cycles; the loop re-restricts until no
+   select resolves further. Operators on residual cycles conservatively
+   evaluate to top. Returns the settled cells and the resolved selects
+   (op id -> selected input, -1 for none), both valid until the state's
+   next evaluation.
+
+   Passes re-evaluate only what can differ from the full evaluation
+   they stand for. A state's first pass (no select resolved) is kept
+   from its previous visit, and a revisit re-evaluates only the cones of
+   the registers whose entry value changed. Each later pass
+   re-evaluates the muxes resolved since the previous one, the
+   operators that left the residual cycles, and the consumers of every
+   value that changed. Every other value is what a full re-evaluation
+   would recompute, so the result is the same. *)
+let eval_state prep (st : Fsm.state) store =
+  let v = visit_of prep st in
+  List.iter (fun (id, d) -> v.values.(id) <- d) v.undo;
+  v.undo <- [];
+  let resolved = v.resolved in
+  Array.iter (fun (m : Elab.op) -> resolved.(m.Elab.id) <- -1) prep.muxes;
+  let cells = { vals = v.values; ctl = v.ctl_vals } in
+  prep.stamp <- prep.stamp + 1;
+  let split = levelized prep resolved in
+  (match v.first_store with
+  | None ->
+      Array.iteri (fun i (op : Elab.op) -> v.values.(op.Elab.id) <- store.(i)) prep.seq;
+      (* Residual-cycle members evaluate to top — sound for any value
+         they could oscillate through. The residual cycles only shrink
+         as selects resolve, so this is their value until they leave. *)
+      Array.iter
+        (fun (op : Elab.op) -> v.values.(op.Elab.id) <- Dom.top ~width:(out_width op))
+        split.stuck;
       Array.iter
         (fun (op : Elab.op) ->
-          cells.vals.(op.Elab.id) <- Dom.top ~width:(out_width op))
-        stuck;
-    let k = !pass in
-    let moved src = src >= 0 && changed.(src) = k in
-    Array.iter
-      (fun (op : Elab.op) ->
-        let id = op.Elab.id in
-        let i = resolved.(id) in
-        if
-          stale.(id)
-          || (if i >= 0 then moved prep.nodes.(id).ins.(i)
-              else Array.exists moved prep.nodes.(id).inputs)
-        then begin
-          let v = eval_comb prep cells resolved op in
-          if k = 0 || not (Dom.equal v cells.vals.(id)) then changed.(id) <- k;
-          cells.vals.(id) <- v;
-          stale.(id) <- false
-        end)
-      order;
-    (* Resolve further mux selects now that values exist. *)
-    Array.iter
-      (fun (op : Elab.op) ->
-        let id = op.Elab.id in
-        if resolved.(id) < 0 then
-          match Dom.is_const (get cells prep.nodes.(id).sel) with
-          | Some c ->
-              resolved.(id) <- min c (Array.length prep.nodes.(id).ins - 1);
-              stale.(id) <- true;
-              continue_ := true
-          | None -> ())
-      prep.muxes;
-    incr pass
-  done;
-  resolved
-
-(* Abstract values of the control cells in a state (the Moore decode is
-   exact: every control is a compile-time constant per state), computed
-   on the state's first visit. *)
-let controls_in prep (st : Fsm.state) =
-  match Hashtbl.find_opt prep.controls st.Fsm.sname with
-  | Some ctl -> ctl
-  | None ->
-      (* {!Fsm.output_in_state} for every control: the state's first
-         setting of the output, else the output's default. *)
-      let v = Array.copy prep.ctl_defaults in
-      List.iter
-        (fun (name, x) ->
-          match Hashtbl.find_opt prep.ctl_index name with
-          | Some i -> v.(i) <- Some x
-          | None -> ())
-        (List.rev st.Fsm.settings);
-      let ctl =
-        Array.of_list
-          (List.mapi
-             (fun i (c : Dp.control) ->
-               match v.(i) with
-               | Some x -> Dom.const ~width:c.Dp.ctl_width x
-               | None ->
-                   failwith
-                     (Printf.sprintf "absint: design has no control %S"
-                        c.Dp.ctl_name))
-             prep.p_dp.Dp.controls)
-      in
-      Hashtbl.replace prep.controls st.Fsm.sname ctl;
-      ctl
-
-let unset = Dom.top ~width:1
-
-let eval_state prep (st : Fsm.state) store =
-  let vals = Array.make (Array.length prep.ops) unset in
-  Array.iteri (fun i (op : Elab.op) -> vals.(op.Elab.id) <- store.(i)) prep.seq;
-  let cells = { vals; ctl = controls_in prep st } in
-  (cells, settle prep cells)
+          v.values.(op.Elab.id) <- eval_comb prep cells resolved op)
+        split.order
+  | Some prev ->
+      Array.iteri
+        (fun i (op : Elab.op) ->
+          if not (Dom.equal store.(i) prev.(i)) then begin
+            v.values.(op.Elab.id) <- store.(i);
+            Array.iter (enqueue prep split) prep.consumers.(op.Elab.id)
+          end)
+        prep.seq;
+      evaluate prep v cells split ~log:false);
+  v.first_store <- Some store;
+  (* Resolve further mux selects now that values exist. *)
+  let rec settle split =
+    let fresh =
+      Array.fold_left
+        (fun acc (op : Elab.op) ->
+          let id = op.Elab.id in
+          if resolved.(id) >= 0 then acc
+          else
+            match Dom.is_const (get cells prep.nodes.(id).sel) with
+            | Some c ->
+                resolved.(id) <- min c (Array.length prep.nodes.(id).ins - 1);
+                id :: acc
+            | None -> acc)
+        [] prep.muxes
+    in
+    if fresh <> [] then begin
+      prep.stamp <- prep.stamp + 1;
+      let next = levelized prep resolved in
+      List.iter (enqueue prep next) fresh;
+      Array.iter (fun (op : Elab.op) -> enqueue prep next op.Elab.id) split.stuck;
+      evaluate prep v cells next ~log:true;
+      settle next
+    end
+  in
+  settle split;
+  (cells, resolved)
 
 let status_env prep cells name =
   match Hashtbl.find_opt prep.statuses name with
