@@ -469,7 +469,10 @@ type cycle_finding = { members : string list; cycle_verdict : verdict }
 
 type t = {
   seq_names : string array; (* register/counter ids, store order *)
-  entry : (string, Dom.t array) Hashtbl.t;
+  intervals : (string, int array) Hashtbl.t;
+      (* reachable state -> [lo; hi] of each register on entry, store
+         order: what {!reg_interval} reads, kept without the rest of
+         the abstract values *)
   diags : Diag.t list;
   findings : cycle_finding list;
   reachable : string list;
@@ -526,8 +529,10 @@ type prep = {
   consumers : int array array; (* op id -> combinational consumer ids *)
   orders : (string, split) Hashtbl.t; (* resolved-select pattern -> split *)
   visits : (string, visit) Hashtbl.t; (* state -> its evaluation *)
-  (* Scratch of {!eval_state}: a pass stamp, the stamp each op was last
+  (* Scratch of {!eval_state}: the resolved selects (mux id -> selected
+     input, -1 for none), a pass stamp, the stamp each op was last
      queued in, and the work heap of positions. *)
+  resolved : int array;
   mutable stamp : int;
   queued : int array;
   heap : int array;
@@ -548,7 +553,6 @@ and split = {
 and visit = {
   values : Dom.t array;
   ctl_vals : Dom.t array;
-  resolved : int array; (* mux id -> selected input, -1 for none *)
   mutable first_store : Dom.t array option; (* store of the kept first pass *)
   mutable undo : (int * Dom.t) list; (* newest first *)
 }
@@ -692,6 +696,7 @@ let build_prep ?(memories = []) e fsm =
            ops);
     orders = Hashtbl.create 16;
     visits = Hashtbl.create 16;
+    resolved = Array.make (List.length ops) (-1);
     stamp = 0;
     queued = Array.make (List.length ops) (-1);
     heap = Array.make (List.length ops) 0;
@@ -813,7 +818,6 @@ let visit_of prep (st : Fsm.state) =
         {
           values = Array.make n (Dom.top ~width:1);
           ctl_vals = controls_in prep st;
-          resolved = Array.make n (-1);
           first_store = None;
           undo = [];
         }
@@ -872,14 +876,14 @@ let evaluate prep (v : visit) cells split ~log =
   while prep.heap_size > 0 do
     let op = split.order.(pop prep) in
     let id = op.Elab.id in
-    let d = eval_comb prep cells v.resolved op in
+    let d = eval_comb prep cells prep.resolved op in
     let old = cells.vals.(id) in
     if not (Dom.equal d old) then begin
       if log then v.undo <- (id, old) :: v.undo;
       cells.vals.(id) <- d;
       Array.iter
         (fun c ->
-          let i = v.resolved.(c) in
+          let i = prep.resolved.(c) in
           if i < 0 || prep.nodes.(c).ins.(i) = id then enqueue prep split c)
         prep.consumers.(id)
     end
@@ -891,8 +895,9 @@ let evaluate prep (v : visit) cells split ~log =
    values and breaks structural cycles; the loop re-restricts until no
    select resolves further. Operators on residual cycles conservatively
    evaluate to top. Returns the settled cells and the resolved selects
-   (op id -> selected input, -1 for none), both valid until the state's
-   next evaluation.
+   (op id -> selected input, -1 for none), the cells valid until the
+   state's next evaluation and the selects until the next evaluation of
+   any state.
 
    Passes re-evaluate only what can differ from the full evaluation
    they stand for. A state's first pass (no select resolved) is kept
@@ -906,7 +911,7 @@ let eval_state prep (st : Fsm.state) store =
   let v = visit_of prep st in
   List.iter (fun (id, d) -> v.values.(id) <- d) v.undo;
   v.undo <- [];
-  let resolved = v.resolved in
+  let resolved = prep.resolved in
   Array.iter (fun (m : Elab.op) -> resolved.(m.Elab.id) <- -1) prep.muxes;
   let cells = { vals = v.values; ctl = v.ctl_vals } in
   prep.stamp <- prep.stamp + 1;
@@ -1861,7 +1866,19 @@ let run ~widen_after ~memories dp fsm =
   in
   {
     seq_names = Array.map (fun (op : Elab.op) -> op.Elab.name) prep.seq;
-    entry;
+    intervals =
+      (let h = Hashtbl.create (List.length reachable) in
+       List.iter
+         (fun name ->
+           let store = Hashtbl.find entry name in
+           Hashtbl.replace h name
+             (Array.init
+                (2 * Array.length store)
+                (fun j ->
+                  let d = store.(j / 2) in
+                  if j land 1 = 0 then d.Dom.lo else d.Dom.hi)))
+         reachable;
+       h);
     diags = fact_diags prep facts;
     findings;
     reachable;
@@ -1907,13 +1924,13 @@ let all_cycles_proved t =
 let reachable_states t = t.reachable
 
 let reg_interval t ~state ~reg =
-  match Hashtbl.find_opt t.entry state with
+  match Hashtbl.find_opt t.intervals state with
   | None -> None
-  | Some store ->
+  | Some bounds ->
       let rec find i =
         if i >= Array.length t.seq_names then None
         else if t.seq_names.(i) = reg then
-          Some (store.(i).Dom.lo, store.(i).Dom.hi)
+          Some (bounds.(2 * i), bounds.((2 * i) + 1))
         else find (i + 1)
       in
       find 0
