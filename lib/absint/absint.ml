@@ -480,16 +480,6 @@ type t = {
   seconds : float;
 }
 
-(* Abstract values live in arrays indexed by {!Elab} ids. An input's
-   driver is pre-resolved to an int code: an operator output is the
-   operator's id, control [i] of the datapath is [-1 - i]. *)
-type cells = {
-  vals : Dom.t array; (* op id -> output value *)
-  ctl : Dom.t array; (* control index -> value in the state *)
-}
-
-let get cells code = if code >= 0 then cells.vals.(code) else cells.ctl.(-1 - code)
-
 (* An operator's input drivers, by port name. Absent ports hold
    [no_input], which fails as an index if ever read. *)
 type node = {
@@ -513,7 +503,6 @@ let no_input = min_int
 (* Pre-resolved structure shared by every state evaluation. *)
 type prep = {
   p_dp : Dp.t;
-  p_fsm : Fsm.t;
   e : Elab.t;
   ops : Elab.op array; (* by id *)
   nodes : node array; (* by op id *)
@@ -528,7 +517,7 @@ type prep = {
          caller declared via [analyze ?memories]. *)
   consumers : int array array; (* op id -> combinational consumer ids *)
   orders : (string, split) Hashtbl.t; (* resolved-select pattern -> split *)
-  visits : (string, visit) Hashtbl.t; (* state -> its evaluation *)
+  states : (string, cells) Hashtbl.t; (* state name -> its cells *)
   (* Scratch of {!eval_state}: the resolved selects (mux id -> selected
      input, -1 for none), a pass stamp, the stamp each op was last
      queued in, and the work heap of positions. *)
@@ -547,15 +536,20 @@ and split = {
   pos : int array; (* op id -> position in [order], -1 if not there *)
 }
 
-(* One state's cells, kept between its visits. [values] holds the values
-   of the last visit's settle; [undo] restores those of its first pass
-   (no select resolved), which a revisit updates incrementally. *)
-and visit = {
-  values : Dom.t array;
-  ctl_vals : Dom.t array;
+(* One state's abstract values, kept between its visits. They live in
+   arrays indexed by {!Elab} ids: an input's driver is pre-resolved to an
+   int code, an operator output being the operator's id and control [i]
+   of the datapath [-1 - i]. [vals] holds the values of the last visit's
+   settle; [undo] restores those of its first pass (no select resolved),
+   which a revisit updates incrementally. *)
+and cells = {
+  vals : Dom.t array; (* op id -> output value *)
+  ctl : Dom.t array; (* control index -> value in the state *)
   mutable first_store : Dom.t array option; (* store of the kept first pass *)
   mutable undo : (int * Dom.t) list; (* newest first *)
 }
+
+let get cells code = if code >= 0 then cells.vals.(code) else cells.ctl.(-1 - code)
 
 let memory_name (op : Elab.op) =
   Opspec.param_string op.Elab.params "memory" ~default:"?"
@@ -664,7 +658,6 @@ let build_prep ?(memories = []) e fsm =
     mem_ports;
   {
     p_dp = dp;
-    p_fsm = fsm;
     e;
     ops = Array.of_list ops;
     nodes = Array.of_list (List.map node ops);
@@ -695,7 +688,7 @@ let build_prep ?(memories = []) e fsm =
                   (Elab.consumers o)))
            ops);
     orders = Hashtbl.create 16;
-    visits = Hashtbl.create 16;
+    states = Hashtbl.create 16;
     resolved = Array.make (List.length ops) (-1);
     stamp = 0;
     queued = Array.make (List.length ops) (-1);
@@ -809,21 +802,20 @@ let controls_in prep (st : Fsm.state) =
                (Printf.sprintf "absint: design has no control %S" c.Dp.ctl_name))
        prep.p_dp.Dp.controls)
 
-let visit_of prep (st : Fsm.state) =
-  match Hashtbl.find_opt prep.visits st.Fsm.sname with
-  | Some v -> v
+let cells_of prep (st : Fsm.state) =
+  match Hashtbl.find_opt prep.states st.Fsm.sname with
+  | Some cells -> cells
   | None ->
-      let n = Array.length prep.ops in
-      let v =
+      let cells =
         {
-          values = Array.make n (Dom.top ~width:1);
-          ctl_vals = controls_in prep st;
+          vals = Array.make (Array.length prep.ops) (Dom.top ~width:1);
+          ctl = controls_in prep st;
           first_store = None;
           undo = [];
         }
       in
-      Hashtbl.replace prep.visits st.Fsm.sname v;
-      v
+      Hashtbl.replace prep.states st.Fsm.sname cells;
+      cells
 
 (* The work heap: a binary min-heap of positions in a pass's order. *)
 let push prep p =
@@ -870,20 +862,21 @@ let enqueue prep split id =
 
 (* Evaluates the queued operators in the order of [split], queueing the
    consumers of every value that changes (a resolved mux consumes only
-   its selected input). With [log], each overwritten value goes to the
-   visit's [undo]. *)
-let evaluate prep (v : visit) cells split ~log =
+   its selected input). With [log], each overwritten value goes to
+   [cells.undo]. *)
+let evaluate prep cells split ~log =
+  let resolved = prep.resolved in
   while prep.heap_size > 0 do
     let op = split.order.(pop prep) in
     let id = op.Elab.id in
-    let d = eval_comb prep cells prep.resolved op in
+    let d = eval_comb prep cells resolved op in
     let old = cells.vals.(id) in
     if not (Dom.equal d old) then begin
-      if log then v.undo <- (id, old) :: v.undo;
+      if log then cells.undo <- (id, old) :: cells.undo;
       cells.vals.(id) <- d;
       Array.iter
         (fun c ->
-          let i = prep.resolved.(c) in
+          let i = resolved.(c) in
           if i < 0 || prep.nodes.(c).ins.(i) = id then enqueue prep split c)
         prep.consumers.(id)
     end
@@ -908,37 +901,35 @@ let evaluate prep (v : visit) cells split ~log =
    value that changed. Every other value is what a full re-evaluation
    would recompute, so the result is the same. *)
 let eval_state prep (st : Fsm.state) store =
-  let v = visit_of prep st in
-  List.iter (fun (id, d) -> v.values.(id) <- d) v.undo;
-  v.undo <- [];
-  let resolved = prep.resolved in
+  let cells = cells_of prep st in
+  let vals = cells.vals and resolved = prep.resolved in
+  List.iter (fun (id, d) -> vals.(id) <- d) cells.undo;
+  cells.undo <- [];
   Array.iter (fun (m : Elab.op) -> resolved.(m.Elab.id) <- -1) prep.muxes;
-  let cells = { vals = v.values; ctl = v.ctl_vals } in
   prep.stamp <- prep.stamp + 1;
   let split = levelized prep resolved in
-  (match v.first_store with
+  (match cells.first_store with
   | None ->
-      Array.iteri (fun i (op : Elab.op) -> v.values.(op.Elab.id) <- store.(i)) prep.seq;
+      Array.iteri (fun i (op : Elab.op) -> vals.(op.Elab.id) <- store.(i)) prep.seq;
       (* Residual-cycle members evaluate to top — sound for any value
          they could oscillate through. The residual cycles only shrink
          as selects resolve, so this is their value until they leave. *)
       Array.iter
-        (fun (op : Elab.op) -> v.values.(op.Elab.id) <- Dom.top ~width:(out_width op))
+        (fun (op : Elab.op) -> vals.(op.Elab.id) <- Dom.top ~width:(out_width op))
         split.stuck;
       Array.iter
-        (fun (op : Elab.op) ->
-          v.values.(op.Elab.id) <- eval_comb prep cells resolved op)
+        (fun (op : Elab.op) -> vals.(op.Elab.id) <- eval_comb prep cells resolved op)
         split.order
   | Some prev ->
       Array.iteri
         (fun i (op : Elab.op) ->
           if not (Dom.equal store.(i) prev.(i)) then begin
-            v.values.(op.Elab.id) <- store.(i);
+            vals.(op.Elab.id) <- store.(i);
             Array.iter (enqueue prep split) prep.consumers.(op.Elab.id)
           end)
         prep.seq;
-      evaluate prep v cells split ~log:false);
-  v.first_store <- Some store;
+      evaluate prep cells split ~log:false);
+  cells.first_store <- Some store;
   (* Resolve further mux selects now that values exist. *)
   let rec settle split =
     let fresh =
@@ -959,7 +950,7 @@ let eval_state prep (st : Fsm.state) store =
       let next = levelized prep resolved in
       List.iter (enqueue prep next) fresh;
       Array.iter (fun (op : Elab.op) -> enqueue prep next op.Elab.id) split.stuck;
-      evaluate prep v cells next ~log:true;
+      evaluate prep cells next ~log:true;
       settle next
     end
   in
