@@ -698,7 +698,7 @@ let build_prep ?(memories = []) e fsm =
 
 let out_width (op : Elab.op) = (Elab.out_port op).Opspec.port_width
 
-(* The levelized (order, stuck) split of the combinational network under
+(* The levelized split of the combinational network under
    a resolved-select pattern ([resolved.(id)] is the selected input of
    mux [id], or -1): a resolved mux depends on its selected input only.
    Computed once per distinct pattern and reused. *)

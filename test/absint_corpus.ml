@@ -9,14 +9,13 @@
 
 module Compile = Compiler.Compile
 
-let codes diags = String.concat "," (List.sort compare (List.map (fun (d : Diag.t) -> d.Diag.code) diags))
+let codes diags =
+  String.concat ","
+    (List.sort compare (List.map (fun (d : Diag.t) -> d.Diag.code) diags))
 
 let located cfg (d : Diag.t) =
   let p = "configuration " ^ cfg in
-  let n = String.length p in
-  String.length d.Diag.location >= n
-  && String.sub d.Diag.location 0 n = p
-  && (String.length d.Diag.location = n || d.Diag.location.[n] = ' ')
+  d.Diag.location = p || String.starts_with ~prefix:(p ^ " ") d.Diag.location
 
 let run_file path =
   let file = Filename.basename path in
