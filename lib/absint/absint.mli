@@ -128,7 +128,7 @@ type cache
     the marshalled inputs ([datapath], [fsm], [memories],
     [widen_after]), so a regenerated but content-equal design hits.
     Safe to share between domains. A cache lives as long as its owner
-    (one per {!Compiler.Compile.t}); nothing is process-global. *)
+    (one per [Compile.t]); nothing is process-global. *)
 
 val create_cache : unit -> cache
 
