@@ -67,6 +67,9 @@ let handle_errors f =
   | Xmlkit.Xml_query.Schema_error msg ->
       Printf.eprintf "schema error: %s\n" msg;
       exit 1
+  | Netlist.Datapath.Unknown_kind d ->
+      Printf.eprintf "error: %s\n" (Diag.to_message d);
+      exit 1
   | Failure msg | Sys_error msg | Invalid_argument msg ->
       (* Invalid_argument is the backstop for out-of-range values that
          slip past the per-command validation (e.g. Pool.create) — one

@@ -17,42 +17,42 @@ let width = 16
 (* io[0], io[1] hold the operands; the design writes gcd to io[2]. *)
 let build_datapath ~expected =
   let b = Builder.create "gcd_unit" in
-  let reg_a = Builder.add_operator b ~id:"a" ~kind:"reg" ~width () in
-  let reg_b = Builder.add_operator b ~id:"b" ~kind:"reg" ~width () in
-  let sub_ab = Builder.add_operator b ~id:"sub_ab" ~kind:"sub" ~width () in
-  let sub_ba = Builder.add_operator b ~id:"sub_ba" ~kind:"sub" ~width () in
-  let gt = Builder.add_operator b ~id:"gt" ~kind:"gtu" ~width () in
-  let ne = Builder.add_operator b ~id:"ne" ~kind:"ne" ~width () in
+  let reg_a = Builder.add_operator b ~id:"a" ~kind:Reg ~width () in
+  let reg_b = Builder.add_operator b ~id:"b" ~kind:Reg ~width () in
+  let sub_ab = Builder.add_operator b ~id:"sub_ab" ~kind:(Bin Sub) ~width () in
+  let sub_ba = Builder.add_operator b ~id:"sub_ba" ~kind:(Bin Sub) ~width () in
+  let gt = Builder.add_operator b ~id:"gt" ~kind:(Cmp Gtu) ~width () in
+  let ne = Builder.add_operator b ~id:"ne" ~kind:(Cmp Ne) ~width () in
   let io =
-    Builder.add_operator b ~id:"io" ~kind:"sram" ~width
+    Builder.add_operator b ~id:"io" ~kind:Sram ~width
       ~params:[ ("memory", "io"); ("addr-width", "2"); ("size", "4") ] ()
   in
   let addr_mux =
-    Builder.add_operator b ~id:"addr_mux" ~kind:"mux" ~width:2
+    Builder.add_operator b ~id:"addr_mux" ~kind:Mux ~width:2
       ~params:[ ("inputs", "3") ] ()
   in
   List.iteri
     (fun i v ->
       let c =
-        Builder.add_operator b ~id:(Printf.sprintf "addr%d" i) ~kind:"const"
+        Builder.add_operator b ~id:(Printf.sprintf "addr%d" i) ~kind:Const
           ~width:2 ~params:[ ("value", string_of_int v) ] ()
       in
       Builder.connect b ~from:(c ^ ".y") [ Printf.sprintf "%s.in%d" addr_mux i ])
     [ 0; 1; 2 ];
   (* Register write muxes: a <- {io.dout, a-b}, b <- {io.dout, b-a}. *)
   let mux_a =
-    Builder.add_operator b ~id:"mux_a" ~kind:"mux" ~width
+    Builder.add_operator b ~id:"mux_a" ~kind:Mux ~width
       ~params:[ ("inputs", "2") ] ()
   in
   let mux_b =
-    Builder.add_operator b ~id:"mux_b" ~kind:"mux" ~width
+    Builder.add_operator b ~id:"mux_b" ~kind:Mux ~width
       ~params:[ ("inputs", "2") ] ()
   in
   (* Test aids: probe the live value of [a]; check the value stored to
      io[2] against the expected gcd while the store is enabled. *)
-  let probe = Builder.add_operator b ~id:"watch_a" ~kind:"probe" ~width () in
+  let probe = Builder.add_operator b ~id:"watch_a" ~kind:Probe ~width () in
   let check =
-    Builder.add_operator b ~id:"check_result" ~kind:"check" ~width
+    Builder.add_operator b ~id:"check_result" ~kind:Check ~width
       ~params:[ ("value", string_of_int expected) ] ()
   in
   List.iter (fun (name, w) -> Builder.add_control b name w)

@@ -551,11 +551,7 @@ and cells = {
 
 let get cells code = if code >= 0 then cells.vals.(code) else cells.ctl.(-1 - code)
 
-let memory_name (op : Elab.op) =
-  Opspec.param_string op.Elab.params "memory" ~default:"?"
-
-let mux_inputs (op : Elab.op) =
-  Opspec.param_int op.Elab.params "inputs" ~default:2
+let params (op : Elab.op) = op.Elab.spec.Opspec.params
 
 let build_prep ?(memories = []) e fsm =
   let dp = Elab.datapath e in
@@ -590,7 +586,7 @@ let build_prep ?(memories = []) e fsm =
       sel = port "sel";
       ins =
         (if o.Elab.kind = Mux then
-           Array.init (mux_inputs o) (fun i -> port (Printf.sprintf "in%d" i))
+           Array.init (params o).inputs (fun i -> port (Printf.sprintf "in%d" i))
          else [||]);
       addr = port "addr";
       din = port "din";
@@ -598,14 +594,8 @@ let build_prep ?(memories = []) e fsm =
       en = port "en";
       d = port "d";
       load = port "load";
-      value =
-        (if o.Elab.kind = Const then
-           Opspec.require_int o.Elab.params ~kind:"const" "value"
-         else 0);
-      step =
-        (if o.Elab.kind = Counter then
-           Opspec.param_int o.Elab.params "step" ~default:1
-         else 1);
+      value = (params o).value;
+      step = (params o).step;
     }
   in
   let statuses = Hashtbl.create 8 in
@@ -628,8 +618,7 @@ let build_prep ?(memories = []) e fsm =
     | Rom -> true
     | _ -> (
         match Elab.driver o "we" with
-        | Elab.Op_out ({ Elab.kind = Const; params; _ }, _) ->
-            Opspec.param_int params "value" ~default:(-1) = 0
+        | Elab.Op_out (({ Elab.kind = Const; _ } as c), _) -> (params c).value = 0
         | Elab.Op_out _ | Elab.Ctl _ -> false)
   in
   let mem_ports =
@@ -639,15 +628,14 @@ let build_prep ?(memories = []) e fsm =
   in
   let never_written name =
     List.for_all
-      (fun o -> memory_name o <> name || never_written_port o)
+      (fun o -> (params o).memory <> name || never_written_port o)
       mem_ports
   in
   List.iter
     (fun (o : Elab.op) ->
-      let name = memory_name o in
-      let size = Opspec.param_int o.Elab.params "size" ~default:0 in
+      let { Opspec.memory = name; size; _ } = params o in
       match List.assoc_opt name memories with
-      | Some init when size > 0 && never_written name ->
+      | Some init when never_written name ->
           let m = umax o.Elab.width in
           let words =
             Array.init size (fun i ->
@@ -1008,15 +996,13 @@ let next_store prep cells store =
 let init_store prep =
   Array.map
     (fun (op : Elab.op) ->
-      let id = op.Elab.name and width = op.Elab.width and params = op.Elab.params in
-      match op.Elab.kind with
-      | Reg ->
-          let d = Dom.const ~width (Opspec.param_int params "init" ~default:0) in
-          if Opspec.param_opt params "init" = None then
-            (* Reset default: taint the value so a read-before-write
-               shows up when it reaches an observable. *)
-            Dom.with_taint [ id ] d
-          else d
+      let width = op.Elab.width in
+      match (op.Elab.kind, (params op).init) with
+      | Reg, Some init -> Dom.const ~width init
+      | Reg, None ->
+          (* Reset default: taint the value so a read-before-write
+             shows up when it reaches an observable. *)
+          Dom.with_taint [ op.Elab.name ] (Dom.const ~width 0)
       | _ -> Dom.const ~width 0)
     prep.seq
 
@@ -1322,8 +1308,6 @@ let residual_cycle prep members resolved =
 (* ------------------------------------------------------------------ *)
 (* Prover passes (the reporting sweep over the fixpoint)               *)
 
-let sram_size (op : Elab.op) = Opspec.param_int op.Elab.params "size" ~default:0
-
 let dout_consumed prep (op : Elab.op) =
   op.Elab.fanout <> []
   || List.exists
@@ -1413,34 +1397,32 @@ let collect_facts prep facts (st : Fsm.state) cells resolved =
       let id = op.Elab.name and n = prep.nodes.(op.Elab.id) in
       match op.Elab.kind with
       | Sram | Rom ->
-          let size = sram_size op in
-          if size > 0 then begin
-            let addr = get cells n.addr in
-            (if op.Elab.kind = Sram then
-               let we = get cells n.we in
-               if Dom.truth we <> Dom.No then begin
-                 let grade =
-                   if addr.Dom.lo >= size then Some `Definite
-                   else if addr.Dom.hi >= size then Some `Partial
-                   else None
-                 in
-                 match (grade, Hashtbl.find_opt facts.oob_write id) with
-                 | None, _ -> ()
-                 | Some g, None ->
-                     Hashtbl.replace facts.oob_write id
-                       (g, sname, addr.Dom.lo, addr.Dom.hi)
-                 | Some `Definite, Some (`Partial, _, _, _) ->
-                     Hashtbl.replace facts.oob_write id
-                       (`Definite, sname, addr.Dom.lo, addr.Dom.hi)
-                 | Some _, Some _ -> ()
-               end);
-            if
-              addr.Dom.lo >= size
-              && dout_consumed prep op
-              && not (Hashtbl.mem facts.oob_read id)
-            then
-              Hashtbl.replace facts.oob_read id (sname, addr.Dom.lo, addr.Dom.hi)
-          end
+          let size = (params op).size in
+          let addr = get cells n.addr in
+          (if op.Elab.kind = Sram then
+             let we = get cells n.we in
+             if Dom.truth we <> Dom.No then begin
+               let grade =
+                 if addr.Dom.lo >= size then Some `Definite
+                 else if addr.Dom.hi >= size then Some `Partial
+                 else None
+               in
+               match (grade, Hashtbl.find_opt facts.oob_write id) with
+               | None, _ -> ()
+               | Some g, None ->
+                   Hashtbl.replace facts.oob_write id
+                     (g, sname, addr.Dom.lo, addr.Dom.hi)
+               | Some `Definite, Some (`Partial, _, _, _) ->
+                   Hashtbl.replace facts.oob_write id
+                     (`Definite, sname, addr.Dom.lo, addr.Dom.hi)
+               | Some _, Some _ -> ()
+             end);
+          if
+            addr.Dom.lo >= size
+            && dout_consumed prep op
+            && not (Hashtbl.mem facts.oob_read id)
+          then
+            Hashtbl.replace facts.oob_read id (sname, addr.Dom.lo, addr.Dom.hi)
       | Bin (Divu | Divs | Remu | Rems) ->
           let b = get cells n.b in
           let grade =
@@ -1523,7 +1505,7 @@ let fact_diags prep facts =
         | None -> []
         | Some (grade, sname, lo, hi) ->
             let loc = Printf.sprintf "operator %s" op.Elab.name in
-            let mem = memory_name op and size = sram_size op in
+            let { Opspec.memory = mem; size; _ } = params op in
             [
               (match grade with
               | `Definite ->
@@ -1551,7 +1533,7 @@ let fact_diags prep facts =
                 ~hint:"out-of-bounds reads return 0 and count as OOB accesses"
                 "memory read always out of bounds in state %s: address in \
                  [%d, %d], memory %S size %d"
-                sname lo hi (memory_name op) (sram_size op);
+                sname lo hi (params op).memory (params op).size;
             ])
   in
   let uninit =
@@ -1621,12 +1603,11 @@ let widening_thresholds e =
          (fun (op : Elab.op) ->
            match op.Elab.kind with
            | Const ->
-               let v = Opspec.param_int op.Elab.params "value" ~default:0 in
-               let v = v land umax op.Elab.width in
+               let v = (params op).value land umax op.Elab.width in
                List.filter (fun t -> t >= 0) [ v - 1; v; v + 1 ]
            | Sram | Rom ->
-               let s = sram_size op in
-               if s > 0 then [ s - 1; s ] else []
+               let s = (params op).size in
+               [ s - 1; s ]
            | _ -> [])
          (Elab.ops e))
   in

@@ -4,6 +4,7 @@ module Builder = Netlist.Dpbuilder
 module Fsm = Fsmkit.Fsm
 module Guard = Fsmkit.Guard
 module Opspec = Operators.Opspec
+module Opkind = Operators.Opkind
 
 type memory_info = { size : int }
 
@@ -18,28 +19,28 @@ let addr_width size =
   let rec bits v acc = if v = 0 then max acc 1 else bits (v lsr 1) (acc + 1) in
   bits (max 0 (size - 1)) 0
 
-let binop_kind = function
-  | Ast.Add -> "add"
-  | Ast.Sub -> "sub"
-  | Ast.Mul -> "mul"
-  | Ast.Div -> "divs"
-  | Ast.Rem -> "rems"
-  | Ast.Band -> "and"
-  | Ast.Bor -> "or"
-  | Ast.Bxor -> "xor"
-  | Ast.Shl -> "shl"
-  | Ast.Shra -> "shra"
-  | Ast.Shrl -> "shrl"
+let binop_kind : Ast.binop -> Opkind.t = function
+  | Ast.Add -> Bin Add
+  | Ast.Sub -> Bin Sub
+  | Ast.Mul -> Bin Mul
+  | Ast.Div -> Bin Divs
+  | Ast.Rem -> Bin Rems
+  | Ast.Band -> Bin And
+  | Ast.Bor -> Bin Or
+  | Ast.Bxor -> Bin Xor
+  | Ast.Shl -> Bin Shl
+  | Ast.Shra -> Bin Shra
+  | Ast.Shrl -> Bin Shrl
 
-let unop_kind = function Ast.Neg -> "neg" | Ast.Bnot -> "not"
+let unop_kind = function Ast.Neg -> Opkind.Un Neg | Ast.Bnot -> Opkind.Un Not
 
-let cmpop_kind = function
-  | Ast.Eq -> "eq"
-  | Ast.Ne -> "ne"
-  | Ast.Lt -> "lts"
-  | Ast.Le -> "les"
-  | Ast.Gt -> "gts"
-  | Ast.Ge -> "ges"
+let cmpop_kind : Ast.cmpop -> Opkind.t = function
+  | Ast.Eq -> Cmp Eq
+  | Ast.Ne -> Cmp Ne
+  | Ast.Lt -> Cmp Lts
+  | Ast.Le -> Cmp Les
+  | Ast.Gt -> Cmp Gts
+  | Ast.Ge -> Cmp Ges
 
 (* Per-state effects recorded while walking the CFG; turned into mux
    indices and FSM settings once all value sources are known. *)
@@ -81,8 +82,8 @@ type ctx = {
   mutable fus : int;
   (* Sharing state: FU pools per (kind, width), per-state occurrence
      counters, and the source sets of shared input ports. *)
-  pools : (string * int, string list ref) Hashtbl.t;
-  state_counts : (string * int, int ref) Hashtbl.t;
+  pools : (Opkind.t * int, string list ref) Hashtbl.t;
+  state_counts : (Opkind.t * int, int ref) Hashtbl.t;
   port_sources : (string, string source_set) Hashtbl.t;  (* "inst.port" *)
   mutable port_order : string list;  (* reversed *)
   mutable cur_settings : (string * int) list;
@@ -100,7 +101,7 @@ let const_id ctx value w =
       let id =
         Builder.add_operator ctx.builder
           ~id:(Printf.sprintf "const_%s_w%d" clean w)
-          ~kind:"const" ~width:w
+          ~kind:Const ~width:w
           ~params:[ ("value", string_of_int value) ]
           ()
       in
@@ -148,7 +149,8 @@ let alloc_fu ctx kind w =
     | None ->
         let id =
           Builder.add_operator ctx.builder
-            ~id:(Printf.sprintf "%s_sh%d_w%d" kind occurrence w)
+            ~id:
+              (Printf.sprintf "%s_sh%d_w%d" (Opkind.to_string kind) occurrence w)
             ~kind ~width:w ()
         in
         ctx.fus <- ctx.fus + 1;
@@ -208,20 +210,20 @@ let rec gen_cond ctx = function
   | Ast.Cand (a, b) ->
       let ea = gen_cond ctx a in
       let eb = gen_cond ctx b in
-      let id = alloc_fu ctx "and" 1 in
+      let id = alloc_fu ctx (Bin And) 1 in
       set_input ctx id "a" ea;
       set_input ctx id "b" eb;
       id ^ ".y"
   | Ast.Cor (a, b) ->
       let ea = gen_cond ctx a in
       let eb = gen_cond ctx b in
-      let id = alloc_fu ctx "or" 1 in
+      let id = alloc_fu ctx (Bin Or) 1 in
       set_input ctx id "a" ea;
       set_input ctx id "b" eb;
       id ^ ".y"
   | Ast.Cnot c ->
       let ea = gen_cond ctx c in
-      let id = alloc_fu ctx "not" 1 in
+      let id = alloc_fu ctx (Un Not) 1 in
       set_input ctx id "a" ea;
       id ^ ".y"
 
@@ -312,7 +314,7 @@ let generate_internal ~share ~fold_branches ~name ~width ~memories ~var_inits
     (fun (v, init) ->
       let params = if init = 0 then [] else [ ("init", string_of_int init) ] in
       ignore
-        (Builder.add_operator builder ~id:(reg_id v) ~kind:"reg" ~width ~params ());
+        (Builder.add_operator builder ~id:(reg_id v) ~kind:Reg ~width ~params ());
       ctx.fus <- ctx.fus + 1)
     vars_in_order;
   (* --- probe declarations --------------------------------------------- *)
@@ -320,7 +322,7 @@ let generate_internal ~share ~fold_branches ~name ~width ~memories ~var_inits
     (fun v ->
       if List.exists (fun (v', _) -> v' = v) vars_in_order then begin
         let inst =
-          Builder.add_operator builder ~id:("probe_" ^ v) ~kind:"probe" ~width ()
+          Builder.add_operator builder ~id:("probe_" ^ v) ~kind:Probe ~width ()
         in
         wire ctx ~from:(reg_id v ^ ".q") ~to_:(inst ^ ".a")
       end)
@@ -332,7 +334,7 @@ let generate_internal ~share ~fold_branches ~name ~width ~memories ~var_inits
   List.iter
     (fun (m, { size }) ->
       ignore
-        (Builder.add_operator builder ~id:("sram_" ^ m) ~kind:"sram" ~width
+        (Builder.add_operator builder ~id:("sram_" ^ m) ~kind:Sram ~width
            ~params:
              [
                ("memory", m);
@@ -446,7 +448,7 @@ let generate_internal ~share ~fold_branches ~name ~width ~memories ~var_inits
                 let inst =
                   Builder.add_operator builder
                     ~id:(Printf.sprintf "check%d" k)
-                    ~kind:"check" ~width:1
+                    ~kind:Check ~width:1
                     ~params:[ ("value", "1") ]
                     ()
                 in
@@ -545,7 +547,7 @@ let generate_internal ~share ~fold_branches ~name ~width ~memories ~var_inits
     | several ->
         let n = List.length several in
         let id =
-          Builder.add_operator builder ~id:mux_id ~kind:"mux" ~width:w
+          Builder.add_operator builder ~id:mux_id ~kind:Mux ~width:w
             ~params:[ ("inputs", string_of_int n) ]
             ()
         in
@@ -562,18 +564,12 @@ let generate_internal ~share ~fold_branches ~name ~width ~memories ~var_inits
     (fun key ->
       let set = Hashtbl.find ctx.port_sources key in
       let ep = Dp.endpoint_of_string key in
-      (* Widths: instance ids are "<kind>_sh<k>_w<w>"; parse the suffix to
-         tell 1-bit condition gates from data-width units. *)
+      (* The width its pool was made for: 1-bit condition gates share
+         apart from data-width units. *)
       let w =
-        let inst = ep.Dp.inst in
-        match String.rindex_opt inst '_' with
-        | Some i when i + 2 <= String.length inst && inst.[i + 1] = 'w' -> (
-            match
-              int_of_string_opt (String.sub inst (i + 2) (String.length inst - i - 2))
-            with
-            | Some w -> w
-            | None -> width)
-        | Some _ | None -> width
+        Hashtbl.fold
+          (fun (_, w) ids found -> if List.mem ep.Dp.inst !ids then w else found)
+          ctx.pools width
       in
       connect_sources
         ~mux_id:(Printf.sprintf "mux_%s_%s" ep.Dp.inst ep.Dp.port)
@@ -603,7 +599,7 @@ let generate_internal ~share ~fold_branches ~name ~width ~memories ~var_inits
       let sid = "sram_" ^ m in
       let aw = addr_width size in
       let trunc =
-        Builder.add_operator builder ~id:("trunc_" ^ m) ~kind:"zext" ~width:aw
+        Builder.add_operator builder ~id:("trunc_" ^ m) ~kind:Zext ~width:aw
           ~params:[ ("from", string_of_int width) ]
           ()
       in

@@ -1,6 +1,5 @@
 module Dp = Netlist.Datapath
 module Fsm = Fsmkit.Fsm
-module Opkind = Operators.Opkind
 module Opspec = Operators.Opspec
 module Compile = Compiler.Compile
 
@@ -75,10 +74,11 @@ let memories_of_bundle bundle =
     (fun (_, (dp : Dp.t)) ->
       List.iter
         (fun (op : Dp.operator) ->
-          match Opkind.of_string op.Dp.kind with
-          | Some (Opkind.Sram | Opkind.Rom) -> (
-              let name = Opspec.require_string op.Dp.params ~kind:op.Dp.kind "memory" in
-              let size = Opspec.param_int op.Dp.params "size" ~default:0 in
+          match op.Dp.kind with
+          | Sram | Rom -> (
+              let { Opspec.memory = name; size; _ } =
+                (Dp.operator_spec op).Opspec.params
+              in
               let decl = (size, op.Dp.width) in
               match Hashtbl.find_opt found name with
               | None -> Hashtbl.replace found name decl

@@ -64,7 +64,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
   in
   (* Evaluation closure per combinational unit. *)
   let eval_of (o : Elab.op) =
-    let width = o.Elab.width and params = o.Elab.params and y = out o in
+    let width = o.Elab.width and p = o.Elab.spec.Opspec.params and y = out o in
     let unary f =
       let a = input_cell o "a" in
       fun () -> y := f !a
@@ -75,7 +75,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
     in
     match o.Elab.kind with
     | Const ->
-        let v = Bitvec.create ~width (Opspec.require_int params ~kind:"const" "value") in
+        let v = Bitvec.create ~width p.value in
         fun () -> y := v
     | Zext -> unary (fun a -> Bitvec.resize a width)
     | Sext -> unary (fun a -> Bitvec.sresize a width)
@@ -83,15 +83,12 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
     | Bin b -> binary (Opkind.bin_bitvec b)
     | Cmp c -> binary (Opkind.cmp_bitvec c)
     | Mux ->
-        let n = Opspec.param_int params "inputs" ~default:2 in
+        let n = p.inputs in
         let ins = Array.init n (fun i -> input_cell o (Printf.sprintf "in%d" i)) in
         let sel = input_cell o "sel" in
         fun () -> y := !(ins.(min (Bitvec.to_int !sel) (n - 1)))
     | Sram | Rom ->
-        let memory =
-          memories
-            (Opspec.require_string params ~kind:(Opkind.to_string o.Elab.kind) "memory")
-        in
+        let memory = memories p.memory in
         let addr = input_cell o "addr" in
         fun () -> y := Memory.read memory (Bitvec.to_int !addr)
     | Reg | Counter | Check | Stop | Probe -> assert false (* not comb *)
@@ -114,7 +111,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
   let t_ref = ref None in
   List.iter
     (fun (o : Elab.op) ->
-      let width = o.Elab.width and params = o.Elab.params in
+      let width = o.Elab.width and p = o.Elab.spec.Opspec.params in
       (* Same commit-point corruption for the state-holding outputs. *)
       let corrupt_q = corrupt (o.Elab.name ^ ".q") in
       let commit_q q pending =
@@ -126,7 +123,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
       | Reg ->
           let d = input_cell o "d" and en = input_cell o "en" in
           let q = out o in
-          q := Bitvec.create ~width (Opspec.param_int params "init" ~default:0);
+          q := Bitvec.create ~width (Option.value p.init ~default:0);
           (match corrupt_q with Some f -> q := f !q | None -> ());
           let pending = ref !q in
           latches :=
@@ -139,7 +136,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
           and d = input_cell o "d" in
           let q = out o in
           (match corrupt_q with Some f -> q := f !q | None -> ());
-          let step = Bitvec.create ~width (Opspec.param_int params "step" ~default:1) in
+          let step = Bitvec.create ~width p.step in
           let pending = ref !q in
           latches :=
             (fun () ->
@@ -150,7 +147,7 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
             :: !latches;
           commits := commit_q q pending :: !commits
       | Sram ->
-          let memory = memories (Opspec.require_string params ~kind:"sram" "memory") in
+          let memory = memories p.memory in
           let addr = input_cell o "addr"
           and din = input_cell o "din"
           and we = input_cell o "we" in
@@ -164,14 +161,14 @@ let create ?(corrupt = fun _ -> None) ~memories (dp : Dp.t) (fsm : Fsm.t) =
             :: !commits
       | Check ->
           let a = input_cell o "a" and en = input_cell o "en" in
-          let expect =
-            Bitvec.create ~width (Opspec.require_int params ~kind:"check" "value")
-          in
+          let expect = Bitvec.create ~width p.value in
           latches :=
             (fun () ->
               if Bitvec.to_bool !en && not (Bitvec.equal !a expect) then
                 match !t_ref with
-                | Some t -> t.n_check_failures <- t.n_check_failures + 1
+                | Some t ->
+                    t.n_check_failures <- t.n_check_failures + 1;
+                    if p.action = Halt then t.stop_fired <- true
                 | None -> ())
             :: !latches
       | Stop ->

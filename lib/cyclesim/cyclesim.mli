@@ -39,8 +39,9 @@ val step : t -> unit
 
 val run : ?max_cycles:int -> t -> [ `Done | `Max_cycles | `Stopped ]
 (** Step until the controller enters a done state ([`Done]), a [stop]
-    operator fires ([`Stopped]), or [max_cycles] (default 10 million)
-    elapse. *)
+    operator fires or a [check] with [action="stop"] fails
+    ([`Stopped], after the cycle it happened in, as in the event-driven
+    kernel), or [max_cycles] (default 10 million) elapse. *)
 
 val cycles : t -> int
 val current_state : t -> string

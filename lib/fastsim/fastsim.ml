@@ -143,9 +143,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
   in
   List.iter
     (fun (op : Elab.op) ->
-      let kind = Opkind.to_string op.Elab.kind in
-      let width = op.Elab.width in
-      let params = op.Elab.params in
+      let width = op.Elab.width and p = op.Elab.spec.Opspec.params in
       let unary f =
         let a = in_cell op "a" in
         add_comb (Cun { f; a; y = out_cell op }) [ a ]
@@ -162,7 +160,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
           add_comb
             (Cconst
                {
-                 v = Opspec.require_int params ~kind "value" land Opkind.mask width;
+                 v = p.value land Opkind.mask width;
                  y = out_cell op;
                })
             []
@@ -170,20 +168,20 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
           let m = Opkind.mask width in
           unary (fun v -> v land m)
       | Sext ->
-          let from = Opspec.require_int params ~kind "from" in
           let m = Opkind.mask width in
-          unary (fun v -> Opkind.to_signed from v land m)
+          unary (fun v -> Opkind.to_signed p.from v land m)
       | Mux ->
-          let n = Opspec.param_int params "inputs" ~default:2 in
-          let ins = Array.init n (fun i -> in_cell op (Printf.sprintf "in%d" i)) in
+          let ins =
+            Array.init p.inputs (fun i -> in_cell op (Printf.sprintf "in%d" i))
+          in
           let sel = in_cell op "sel" in
           add_comb
             (Cmux { ins; sel; y = out_cell op })
             (sel :: Array.to_list ins)
       | Reg ->
-          let init = Opspec.param_int params "init" ~default:0 in
           let q = out_cell op in
-          reg_inits := (q, init land Opkind.mask width) :: !reg_inits;
+          reg_inits :=
+            (q, Option.value p.init ~default:0 land Opkind.mask width) :: !reg_inits;
           edge := Ereg { d = in_cell op "d"; en = in_cell op "en"; q } :: !edge
       | Counter ->
           edge :=
@@ -193,12 +191,12 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
                 load = in_cell op "load";
                 d = in_cell op "d";
                 q = out_cell op;
-                step = Opspec.param_int params "step" ~default:1 land Opkind.mask width;
+                step = p.step land Opkind.mask width;
                 m = Opkind.mask width;
               }
             :: !edge
       | Sram ->
-          let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
+          let mslot = mem_slot p.memory in
           let addr = in_cell op "addr" in
           let dout = out_cell op in
           (* Read process first, write process second — the event
@@ -215,7 +213,7 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
               }
             :: !edge
       | Rom ->
-          let mslot = mem_slot (Opspec.require_string params ~kind "memory") in
+          let mslot = mem_slot p.memory in
           let addr = in_cell op "addr" in
           add_comb (Cmemrd { mslot; addr; dout = out_cell op }) [ addr ]
       | Probe ->
@@ -228,9 +226,8 @@ let compile_design ~cfg (dp : Dp.t) (fsm : Fsm.t) =
               {
                 a = in_cell op "a";
                 en = in_cell op "en";
-                expect = Opspec.require_int params ~kind "value" land Opkind.mask width;
-                stop =
-                  Opspec.param_string params "action" ~default:"record" = "stop";
+                expect = p.value land Opkind.mask width;
+                stop = p.action = Halt;
               }
             :: !edge
       | Stop ->

@@ -49,8 +49,8 @@ let datapath (dp : Dp.t) =
       | Reg | Counter ->
           out "  %s %s_state;" (utype op.Elab.width) (sanitize op.Elab.name)
       | Sram | Rom ->
-          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
-          out "  %s mem_%s[%d];" (utype op.Elab.width) (sanitize op.Elab.name) size
+          out "  %s mem_%s[%d];" (utype op.Elab.width) (sanitize op.Elab.name)
+            op.Elab.spec.Opspec.params.size
       | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Probe | Check | Stop ->
           ())
     (Elab.ops e);
@@ -62,7 +62,7 @@ let datapath (dp : Dp.t) =
       let y = sig_name op.Elab.name "y" in
       let a () = input_of op "a" in
       let b () = input_of op "b" in
-      let width = op.Elab.width in
+      let width = op.Elab.width and p = op.Elab.spec.Opspec.params in
       let signed v = Printf.sprintf "(%s)%s" (stype width) v in
       let wr target expr = out "    %s.write(%s);" target expr in
       let bool_out expr = wr y (Printf.sprintf "(%s) ? 1 : 0" expr) in
@@ -110,15 +110,13 @@ let datapath (dp : Dp.t) =
       | Un Neg -> wr y (Printf.sprintf "(%s)(-%s)" (utype width) (a ()))
       | Un Pass -> wr y (a ())
       | Const ->
-          let v = Opspec.require_int op.Elab.params ~kind:"const" "value" in
-          wr y (string_of_int (v land ((1 lsl width) - 1)))
+          wr y (string_of_int (p.value land ((1 lsl width) - 1)))
       | Zext -> wr y (Printf.sprintf "(%s)%s" (utype width) (a ()))
       | Sext ->
-          let from = Opspec.require_int op.Elab.params ~kind:"sext" "from" in
           wr y (Printf.sprintf "(%s)(%s)(%s)%s" (utype width) (stype width)
-                  (stype from) (a ()))
+                  (stype p.from) (a ()))
       | Mux ->
-          let n = Opspec.param_int op.Elab.params "inputs" ~default:2 in
+          let n = p.inputs in
           out "    switch ((int)%s) {" (input_of op "sel");
           for i = 0 to n - 1 do
             if i = n - 1 then
@@ -147,23 +145,22 @@ let datapath (dp : Dp.t) =
   out "  void seq() {";
   List.iter
     (fun (op : Elab.op) ->
-      let id = sanitize op.Elab.name in
+      let id = sanitize op.Elab.name and p = op.Elab.spec.Opspec.params in
       match op.Elab.kind with
       | Reg ->
           out "    if (%s == 1) %s_state = %s;" (input_of op "en") id
             (input_of op "d")
       | Counter ->
-          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
           out "    if (%s == 1) %s_state = %s;" (input_of op "load") id
             (input_of op "d");
           out "    else if (%s == 1) %s_state = %s_state + %d;"
-            (input_of op "en") id id step
+            (input_of op "en") id id p.step
       | Sram ->
           out "    if (%s == 1) mem_%s[(int)%s] = %s;" (input_of op "we") id
             (input_of op "addr") (input_of op "din")
       | Check ->
-          let v = Opspec.require_int op.Elab.params ~kind:"check" "value" in
-          out "    if (%s == 1 && %s != %d)" (input_of op "en") (input_of op "a") v;
+          out "    if (%s == 1 && %s != %d)" (input_of op "en") (input_of op "a")
+            p.value;
           out "      std::cout << \"check %s FAILED at \" << sc_time_stamp() << std::endl;" id
       | Stop ->
           out "    if (%s == 1) sc_stop();" (input_of op "en")

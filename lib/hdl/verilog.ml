@@ -71,7 +71,7 @@ let datapath (dp : Dp.t) =
       let y = port_wire op.Elab.name "y" in
       let a () = input_of op "a" in
       let b () = input_of op "b" in
-      let width = op.Elab.width in
+      let width = op.Elab.width and p = op.Elab.spec.Opspec.params in
       let signed2 fmt = Printf.sprintf fmt (a ()) (b ()) in
       match op.Elab.kind with
       | Bin Add -> out "  assign %s = %s + %s;" y (a ()) (b ())
@@ -121,18 +121,16 @@ let datapath (dp : Dp.t) =
       | Un Neg -> out "  assign %s = -%s;" y (a ())
       | Un Pass -> out "  assign %s = %s;" y (a ())
       | Const ->
-          let v = Opspec.require_int op.Elab.params ~kind:"const" "value" in
-          let masked = v land ((1 lsl width) - 1) in
+          let masked = p.value land ((1 lsl width) - 1) in
           out "  assign %s = %d'd%d;" y width masked
       | Zext -> out "  assign %s = %s;" y (a ())
       | Sext ->
-          let from = Opspec.require_int op.Elab.params ~kind:"sext" "from" in
-          if width > from then
-            out "  assign %s = {{%d{%s[%d]}}, %s};" y (width - from) (a ())
-              (from - 1) (a ())
+          if width > p.from then
+            out "  assign %s = {{%d{%s[%d]}}, %s};" y (width - p.from) (a ())
+              (p.from - 1) (a ())
           else out "  assign %s = %s;" y (a ())
       | Mux ->
-          let n = Opspec.param_int op.Elab.params "inputs" ~default:2 in
+          let n = p.inputs in
           out "  always @* begin";
           out "    case (%s)" (input_of op "sel");
           for i = 0 to n - 1 do
@@ -146,33 +144,29 @@ let datapath (dp : Dp.t) =
           out "  end"
       | Reg ->
           let q = port_wire op.Elab.name "q" in
-          let init = Opspec.param_int op.Elab.params "init" ~default:0 in
           out "  reg %s%s_state = %d'd%d;" (range width) id width
-            (init land ((1 lsl width) - 1));
+            (Option.value p.init ~default:0 land ((1 lsl width) - 1));
           out "  always @(posedge clk) if (%s) %s_state <= %s;"
             (input_of op "en") id (input_of op "d");
           out "  assign %s = %s_state;" q id
       | Counter ->
           let q = port_wire op.Elab.name "q" in
-          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
           out "  reg %s%s_state = 0;" (range width) id;
           out "  always @(posedge clk)";
           out "    if (%s) %s_state <= %s;" (input_of op "load") id
             (input_of op "d");
           out "    else if (%s) %s_state <= %s_state + %d;" (input_of op "en")
-            id id step;
+            id id p.step;
           out "  assign %s = %s_state;" q id
       | Sram ->
-          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
           let dout = port_wire op.Elab.name "dout" in
-          out "  reg %smem_%s [0:%d];" (range width) id (size - 1);
+          out "  reg %smem_%s [0:%d];" (range width) id (p.size - 1);
           out "  assign %s = mem_%s[%s];" dout id (input_of op "addr");
           out "  always @(posedge clk) if (%s) mem_%s[%s] <= %s;"
             (input_of op "we") id (input_of op "addr") (input_of op "din")
       | Rom ->
-          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
           let dout = port_wire op.Elab.name "dout" in
-          out "  reg %srom_%s [0:%d];" (range width) id (size - 1);
+          out "  reg %srom_%s [0:%d];" (range width) id (p.size - 1);
           out "  assign %s = rom_%s[%s];" dout id (input_of op "addr")
       | Probe ->
           out "`ifndef SYNTHESIS";
@@ -180,11 +174,10 @@ let datapath (dp : Dp.t) =
             (a ()) id (a ());
           out "`endif"
       | Check ->
-          let v = Opspec.require_int op.Elab.params ~kind:"check" "value" in
           out "`ifndef SYNTHESIS";
-          out "  always @* if (%s && %s != %d)" (input_of op "en") (a ()) v;
-          out "    $display(\"check %s FAILED: got %%0d, want %d\", %s);" id v
-            (a ());
+          out "  always @* if (%s && %s != %d)" (input_of op "en") (a ()) p.value;
+          out "    $display(\"check %s FAILED: got %%0d, want %d\", %s);" id
+            p.value (a ());
           out "`endif"
       | Stop ->
           out "`ifndef SYNTHESIS";

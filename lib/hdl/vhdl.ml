@@ -73,9 +73,8 @@ let datapath (dp : Dp.t) =
         spec.Opspec.ports;
       match op.Elab.kind with
       | Sram | Rom ->
-          let size = Opspec.param_int op.Elab.params "size" ~default:1024 in
           out "  type t_mem_%s is array (0 to %d) of %s;" (sanitize op.Elab.name)
-            (size - 1) (utype op.Elab.width);
+            (op.Elab.spec.Opspec.params.size - 1) (utype op.Elab.width);
           out "  signal mem_%s : t_mem_%s := (others => (others => '0'));"
             (sanitize op.Elab.name) (sanitize op.Elab.name)
       | Bin _ | Cmp _ | Un _ | Const | Zext | Sext | Mux | Reg | Counter | Probe
@@ -89,7 +88,7 @@ let datapath (dp : Dp.t) =
       let y = port_sig op.Elab.name "y" in
       let a () = input_of op "a" in
       let b () = input_of op "b" in
-      let width = op.Elab.width in
+      let width = op.Elab.width and p = op.Elab.spec.Opspec.params in
       let bool_out expr = out "  %s <= \"1\" when %s else \"0\";" y expr in
       match op.Elab.kind with
       | Bin Add -> out "  %s <= %s + %s;" y (a ()) (b ())
@@ -144,13 +143,13 @@ let datapath (dp : Dp.t) =
       | Un Neg -> out "  %s <= (others => '0') - %s;" y (a ())
       | Un Pass -> out "  %s <= %s;" y (a ())
       | Const ->
-          let v = Opspec.require_int op.Elab.params ~kind:"const" "value" in
-          out "  %s <= to_unsigned(%d, %d);" y (v land ((1 lsl width) - 1)) width
+          out "  %s <= to_unsigned(%d, %d);" y (p.value land ((1 lsl width) - 1))
+            width
       | Zext -> out "  %s <= resize(%s, %d);" y (a ()) width
       | Sext ->
           out "  %s <= unsigned(resize(signed(%s), %d));" y (a ()) width
       | Mux ->
-          let n = Opspec.param_int op.Elab.params "inputs" ~default:2 in
+          let n = p.inputs in
           out "  with to_integer(%s) select" (input_of op "sel");
           for i = 0 to n - 1 do
             if i = n - 1 then
@@ -169,14 +168,13 @@ let datapath (dp : Dp.t) =
           out "    end if;";
           out "  end process;"
       | Counter ->
-          let step = Opspec.param_int op.Elab.params "step" ~default:1 in
           let q = port_sig op.Elab.name "q" in
           out "  p_%s : process (clk) begin" id;
           out "    if rising_edge(clk) then";
           out "      if %s = 1 then %s <= %s;" (input_of op "load") q
             (input_of op "d");
           out "      elsif %s = 1 then %s <= %s + %d;" (input_of op "en") q q
-            step;
+            p.step;
           out "      end if;";
           out "    end if;";
           out "  end process;"
@@ -195,9 +193,9 @@ let datapath (dp : Dp.t) =
       | Probe ->
           out "  -- probe %s observes %s (simulation aid)" id (a ())
       | Check ->
-          let v = Opspec.require_int op.Elab.params ~kind:"check" "value" in
           out "  p_%s : process (%s, %s) begin" id (a ()) (input_of op "en");
-          out "    assert not (%s = 1 and %s /= %d)" (input_of op "en") (a ()) v;
+          out "    assert not (%s = 1 and %s /= %d)" (input_of op "en") (a ())
+            p.value;
           out "      report \"check %s failed\" severity error;" id;
           out "  end process;"
       | Stop ->

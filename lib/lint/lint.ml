@@ -596,6 +596,8 @@ let convert_doc path of_xml doc =
   | v -> Doc v
   | exception Xmlkit.Xml_query.Schema_error msg ->
       Bad (Diag.error ~code:"XML002" ~loc:path "%s" msg)
+  | exception Dp.Unknown_kind d ->
+      Bad { d with Diag.location = path ^ " / " ^ d.Diag.location }
   | exception Failure msg ->
       (* e.g. a malformed "inst.port" endpoint — reported with the file
          as the lint location instead of escaping as an exception. *)

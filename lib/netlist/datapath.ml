@@ -7,9 +7,9 @@ type endpoint = { inst : string; port : string }
 
 type operator = {
   id : string;
-  kind : string;
+  kind : Opkind.t;
   width : int;
-  params : Opspec.params;
+  params : Opspec.attrs;
 }
 
 type source = From_op of endpoint | From_control of string
@@ -47,16 +47,11 @@ let endpoint_to_string { inst; port } = inst ^ "." ^ port
 
 let find_operator dp id = List.find_opt (fun op -> op.id = id) dp.operators
 
-let operator_spec op =
-  Opspec.lookup ~kind:op.kind ~width:op.width ~params:op.params
+let operator_spec op = Opspec.lookup ~kind:op.kind ~width:op.width op.params
 
 let functional_unit_count dp =
   List.length
-    (List.filter
-       (fun op ->
-         not (Option.fold ~none:false ~some:Opkind.is_test_aid
-                (Opkind.of_string op.kind)))
-       dp.operators)
+    (List.filter (fun op -> not (Opkind.is_test_aid op.kind)) dp.operators)
 
 let port_of_spec spec port =
   List.find_opt (fun p -> p.Opspec.port_name = port) spec.Opspec.ports
@@ -146,7 +141,7 @@ let check_diags dp =
   (* Nets: source direction/width, sink direction/width. *)
   List.iter
     (fun n ->
-      let what = Printf.sprintf "net %s" n.net_id in
+      let what = "net " ^ n.net_id in
       (match n.source with
       | From_control name -> (
           match control_width name with
@@ -181,7 +176,7 @@ let check_diags dp =
   (* Statuses tap operator outputs. *)
   List.iter
     (fun st ->
-      let what = Printf.sprintf "status %s" st.st_name in
+      let what = "status " ^ st.st_name in
       match resolve_port ~what st.st_source with
       | None -> ()
       | Some p ->
@@ -222,6 +217,7 @@ let check_diags dp =
 let check dp = List.map Diag.to_message (check_diags dp)
 
 exception Invalid of string list
+exception Unknown_kind of Diag.t
 
 let validate dp = match check dp with [] -> () | errs -> raise (Invalid errs)
 
@@ -233,7 +229,11 @@ let reserved_attrs = [ "id"; "kind"; "width" ]
 let operator_to_xml op =
   Xml.element "operator"
     ~attrs:
-      ([ ("id", op.id); ("kind", op.kind); ("width", string_of_int op.width) ]
+      ([
+         ("id", op.id);
+         ("kind", Opkind.to_string op.kind);
+         ("width", string_of_int op.width);
+       ]
       @ op.params)
 
 let source_to_string = function
@@ -299,9 +299,18 @@ let of_xml doc =
   let operators =
     Q.children (Q.child root "operators") "operator"
     |> List.map (fun e ->
+           let id = Q.attr e "id" and kind = Q.attr e "kind" in
            {
-             id = Q.attr e "id";
-             kind = Q.attr e "kind";
+             id;
+             kind =
+               (match Opkind.of_string kind with
+               | Some k -> k
+               | None ->
+                   raise
+                     (Unknown_kind
+                        (Diag.error ~code:"DP005"
+                           ~loc:(Printf.sprintf "operator %s" id)
+                           "unknown operator kind %S" kind)));
              width = Q.attr_int e "width";
              params =
                List.filter

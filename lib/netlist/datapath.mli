@@ -32,10 +32,11 @@ type endpoint = { inst : string; port : string }
 
 type operator = {
   id : string;
-  kind : string;
+  kind : Operators.Opkind.t;  (** Resolved by {!of_xml}. *)
   width : int;
-  params : Operators.Opspec.params;
-      (** Every XML attribute other than id/kind/width. *)
+  params : Operators.Opspec.attrs;
+      (** Every XML attribute other than id/kind/width, as written;
+          {!operator_spec} parses them. *)
 }
 
 type source =
@@ -70,7 +71,8 @@ val endpoint_to_string : endpoint -> string
 val find_operator : t -> string -> operator option
 
 val operator_spec : operator -> Operators.Opspec.t
-(** Port interface of an instance. Raises {!Operators.Opspec.Spec_error}. *)
+(** Port interface and typed parameters of an instance. Raises
+    {!Operators.Opspec.Spec_error}. *)
 
 val functional_unit_count : t -> int
 (** Operator instances excluding the test aids (probe/check/stop) —
@@ -84,8 +86,8 @@ val status_width : t -> status -> int
 val check_diags : t -> Diag.t list
 (** Structural diagnostics; empty means well-formed. Verifies id
     uniqueness (DP001–DP004), operator ids that the XML endpoint syntax
-    would misread — ["ctl"] or containing a dot (DP016), known
-    kinds/parameters (DP005), existing
+    would misread — ["ctl"] or containing a dot (DP016), valid
+    widths and parameters (DP005), existing
     endpoints (DP006–DP008), width agreement (DP009), port directions
     (DP010), and single-driver inputs (DP011 unconnected, DP012 multiple
     drivers). Locations are document-relative; whole-design analyses
@@ -102,8 +104,14 @@ val validate : t -> unit
 (** {1 XML} *)
 
 val to_xml : t -> Xmlkit.Xml.t
+
+exception Unknown_kind of Diag.t
+(** The DP005 diagnostic of an operator whose [kind] is not in the
+    catalogue. *)
+
 val of_xml : Xmlkit.Xml.t -> t
-(** Raises {!Xmlkit.Xml_query.Schema_error} on malformed documents. *)
+(** Resolves every operator's kind. Raises {!Unknown_kind}, and
+    {!Xmlkit.Xml_query.Schema_error} on malformed documents. *)
 
 val save : string -> t -> unit
 val load : string -> t

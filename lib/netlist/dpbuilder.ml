@@ -39,7 +39,7 @@ let add_operator b ?id ~kind ~width ?(params = []) () =
           invalid_arg (Printf.sprintf "Dpbuilder: duplicate id %S" id);
         Hashtbl.replace b.used_ids id ();
         id
-    | None -> fresh_id b kind
+    | None -> fresh_id b (Operators.Opkind.to_string kind)
   in
   b.operators <- { Datapath.id; kind; width; params } :: b.operators;
   id

@@ -14,8 +14,8 @@ val fresh_id : t -> string -> string
     ["add3"]. The id is reserved immediately. *)
 
 val add_operator :
-  t -> ?id:string -> kind:string -> width:int ->
-  ?params:Operators.Opspec.params -> unit -> string
+  t -> ?id:string -> kind:Operators.Opkind.t -> width:int ->
+  ?params:Operators.Opspec.attrs -> unit -> string
 (** Add an instance; returns its id (generated from the kind when [id] is
     omitted). Raises [Invalid_argument] on a duplicate explicit id. *)
 

@@ -6,7 +6,6 @@ type op = {
   name : string;
   kind : Opkind.t;
   width : int;
-  params : Opspec.params;
   spec : Opspec.t;
   mutable inputs : (Opspec.port * driver) list;
   mutable fanout : (op * Opspec.port) list;
@@ -36,7 +35,6 @@ let of_datapath (dp : Datapath.t) =
              name = o.Datapath.id;
              kind = spec.Opspec.kind;
              width = o.Datapath.width;
-             params = o.Datapath.params;
              spec;
              inputs = [];
              fanout = [];
@@ -51,7 +49,7 @@ let of_datapath (dp : Datapath.t) =
     dp.Datapath.controls;
   (* Validation guarantees every endpoint resolves and every input port
      is the sink of exactly one net. *)
-  let drivers = Hashtbl.create 64 in
+  let drivers = Array.make (Array.length ops) [] in
   let fanout = Array.make (Array.length ops) [] in
   List.iter
     (fun (n : Datapath.net) ->
@@ -65,7 +63,7 @@ let of_datapath (dp : Datapath.t) =
       List.iter
         (fun (ep : Datapath.endpoint) ->
           let o = Hashtbl.find by_name ep.Datapath.inst in
-          Hashtbl.replace drivers (o.id, ep.Datapath.port) src;
+          drivers.(o.id) <- (ep.Datapath.port, src) :: drivers.(o.id);
           match src with
           | Op_out (s, _) ->
               fanout.(s.id) <- (o, port_named o ep.Datapath.port) :: fanout.(s.id)
@@ -78,7 +76,7 @@ let of_datapath (dp : Datapath.t) =
         List.filter_map
           (fun (p : Opspec.port) ->
             if p.Opspec.direction = Opspec.In then
-              Some (p, Hashtbl.find drivers (o.id, p.Opspec.port_name))
+              Some (p, List.assoc p.Opspec.port_name drivers.(o.id))
             else None)
           o.spec.Opspec.ports;
       o.fanout <- List.rev fanout.(o.id))

@@ -12,8 +12,7 @@ type op = private {
   name : string;  (** The document's operator id. *)
   kind : Operators.Opkind.t;
   width : int;
-  params : Operators.Opspec.params;
-  spec : Operators.Opspec.t;
+  spec : Operators.Opspec.t;  (** Ports and typed parameters. *)
   mutable inputs : (Operators.Opspec.port * driver) list;
       (** One entry per input port, in the spec's port order. *)
   mutable fanout : (op * Operators.Opspec.port) list;

@@ -18,10 +18,6 @@ type env = {
   notify : notification -> unit;
 }
 
-let port env name =
-  let s = env.find_signal name in
-  s
-
 let check_port_width env name s expected =
   if Engine.width s <> expected then
     invalid_arg
@@ -31,7 +27,7 @@ let check_port_width env name s expected =
 let connected env (spec : Opspec.t) =
   List.map
     (fun (p : Opspec.port) ->
-      let s = port env p.Opspec.port_name in
+      let s = env.find_signal p.Opspec.port_name in
       check_port_width env p.Opspec.port_name s p.Opspec.port_width;
       (p.Opspec.port_name, s))
     spec.Opspec.ports
@@ -46,39 +42,37 @@ let comb1 env ~name a y f =
     (Engine.process env.engine ~name ~sensitivity:[ a ] (fun () ->
          Engine.drive env.engine y (f (Engine.value a))))
 
-let instantiate env ~kind ~width ~params =
-  let spec = Opspec.lookup ~kind ~width ~params in
+let instantiate env ~width (spec : Opspec.t) =
+  let p = spec.Opspec.params in
   let signals = connected env spec in
   let s name = List.assoc name signals in
-  let pname = env.instance ^ ":" ^ kind in
+  let pname = env.instance ^ ":" ^ Opkind.to_string spec.Opspec.kind in
   match spec.Opspec.kind with
   | Bin op -> comb2 env ~name:pname (s "a") (s "b") (s "y") (Opkind.bin_bitvec op)
   | Cmp op ->
       comb2 env ~name:pname (s "a") (s "b") (s "y") (Opkind.cmp_bitvec op)
   | Un op -> comb1 env ~name:pname (s "a") (s "y") (Opkind.un_bitvec op)
   | Const ->
-      let value =
-        Bitvec.create ~width (Opspec.require_int params ~kind "value")
-      in
+      let value = Bitvec.create ~width p.value in
       ignore
         (Engine.process env.engine ~name:pname (fun () ->
              Engine.drive env.engine (s "y") value))
   | Zext -> comb1 env ~name:pname (s "a") (s "y") (fun a -> Bitvec.resize a width)
   | Sext -> comb1 env ~name:pname (s "a") (s "y") (fun a -> Bitvec.sresize a width)
   | Mux ->
-      let n = Opspec.param_int params "inputs" ~default:2 in
+      let n = p.inputs in
       let ins = Array.init n (fun i -> s (Printf.sprintf "in%d" i)) in
       let sel = s "sel" and y = s "y" in
       let body () =
         let i = min (Engine.value_int sel) (n - 1) in
         Engine.drive env.engine y (Engine.value ins.(i))
       in
-      let p = Engine.process env.engine ~name:pname ~sensitivity:[ sel ] body in
-      Array.iter (fun input -> Engine.add_sensitivity p input) ins
+      let proc = Engine.process env.engine ~name:pname ~sensitivity:[ sel ] body in
+      Array.iter (fun input -> Engine.add_sensitivity proc input) ins
   | Reg ->
       let d = s "d" and en = s "en" and q = s "q" in
-      let init = Opspec.param_int params "init" ~default:0 in
-      Engine.force env.engine q (Bitvec.create ~width init);
+      Engine.force env.engine q
+        (Bitvec.create ~width (Option.value p.init ~default:0));
       ignore
         (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
            (fun () ->
@@ -86,7 +80,7 @@ let instantiate env ~kind ~width ~params =
                Engine.drive env.engine q (Engine.value d)))
   | Counter ->
       let en = s "en" and load = s "load" and d = s "d" and q = s "q" in
-      let step = Bitvec.create ~width (Opspec.param_int params "step" ~default:1) in
+      let step = Bitvec.create ~width p.step in
       ignore
         (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
            (fun () ->
@@ -95,7 +89,7 @@ let instantiate env ~kind ~width ~params =
              else if Engine.value_int en = 1 then
                Engine.drive env.engine q (Bitvec.add (Engine.value q) step)))
   | Sram ->
-      let memory = env.find_memory (Opspec.require_string params ~kind "memory") in
+      let memory = env.find_memory p.memory in
       if Memory.width memory <> width then
         invalid_arg
           (Printf.sprintf "%s: memory %s width %d <> operator width %d"
@@ -119,7 +113,7 @@ let instantiate env ~kind ~width ~params =
                Memory.write memory a (Engine.value din);
              Engine.drive env.engine dout (Memory.read memory a)))
   | Rom ->
-      let memory = env.find_memory (Opspec.require_string params ~kind "memory") in
+      let memory = env.find_memory p.memory in
       if Memory.width memory <> width then
         invalid_arg
           (Printf.sprintf "%s: memory %s width mismatch" env.instance
@@ -142,10 +136,7 @@ let instantiate env ~kind ~width ~params =
                }))
   | Check ->
       let a = s "a" and en = s "en" in
-      let expect = Bitvec.create ~width (Opspec.require_int params ~kind "value") in
-      let stop_on_fail =
-        Opspec.param_string params "action" ~default:"record" = "stop"
-      in
+      let expect = Bitvec.create ~width p.value in
       ignore
         (Engine.on_rising_edge env.engine ~clock:env.clock ~name:pname
            (fun () ->
@@ -160,15 +151,13 @@ let instantiate env ~kind ~width ~params =
                       got = Engine.value a;
                       expect;
                     });
-               if stop_on_fail then
+               if p.action = Halt then
                  Engine.request_stop env.engine
                    (Printf.sprintf "check %s failed" env.instance)
              end))
   | Stop ->
       let en = s "en" in
-      let reason =
-        Opspec.param_string params "reason" ~default:(env.instance ^ " fired")
-      in
+      let reason = Option.value p.reason ~default:(env.instance ^ " fired") in
       ignore
         (Engine.process env.engine ~name:pname ~sensitivity:[ en ] (fun () ->
              if Engine.value_int en = 1 then

@@ -28,7 +28,7 @@ type env = {
   notify : notification -> unit;
 }
 
-val instantiate : env -> kind:string -> width:int -> params:Opspec.params -> unit
-(** Raises {!Opspec.Spec_error} on unknown kinds or bad parameters, and
-    [Invalid_argument] if a supplied signal width disagrees with the port
-    spec. *)
+val instantiate : env -> width:int -> Opspec.t -> unit
+(** [instantiate env ~width spec] builds the model of a resolved instance
+    of data width [width]. Raises [Invalid_argument] if a supplied signal
+    width disagrees with the port spec. *)

@@ -1,10 +1,12 @@
-(** Port interfaces of the operator catalogue ({!Opkind}).
+(** Port interfaces and parameters of the operator catalogue ({!Opkind}).
 
-    Pure metadata: the datapath dialect is validated against it and the
-    HDL emitters consult it; the simulation models in {!Models} implement
-    it. An operator instance is characterized by its [kind], its data
-    [width], and string [params] (e.g. a constant's value, a mux's input
-    count, an SRAM's backing-memory name). *)
+    An operator instance is characterized by its [kind], its data [width]
+    and the document's string attributes (a constant's value, a mux's
+    input count, an SRAM's backing-memory name, ...). {!lookup} resolves
+    all three once: the port interface and the typed {!params} every
+    consumer — the simulation models in {!Models}, the other simulators,
+    the analyses and the HDL emitters — reads. Adding a parameter is one
+    edit, here. *)
 
 exception Spec_error of string
 
@@ -16,34 +18,45 @@ type port = {
   port_width : int;  (** Resolved width for the given instance. *)
 }
 
+type action =
+  | Record  (** ["record"] (the default): count the failure and go on. *)
+  | Halt  (** ["stop"]: also stop the simulation. *)
+(** What a failing [check] does. *)
+
+type params = {
+  value : int;  (** const: the constant; check: the expected value. *)
+  from : int;  (** zext/sext: the input width. *)
+  inputs : int;  (** mux: the input count (2 when absent). *)
+  init : int option;
+      (** reg: the reset value. [None] when absent, which the abstract
+          interpreter reads as uninitialised, unlike an explicit 0; the
+          simulators reset to 0. *)
+  step : int;  (** counter: the increment (1 when absent). *)
+  memory : string;  (** sram/rom: the backing memory's name. *)
+  addr_width : int;  (** sram/rom: the address port's width. *)
+  size : int;  (** sram/rom: the word count, [1 .. 2^addr_width]. *)
+  action : action;  (** check *)
+  reason : string option;  (** stop: the message when it fires. *)
+}
+(** An instance's parameters, parsed and checked once. A field means
+    something only for the kinds it names; otherwise it holds its
+    default. *)
+
 type t = {
-  kind : Opkind.t;  (** Resolved once, here. *)
+  kind : Opkind.t;
+  params : params;
   ports : port list;
   sequential : bool;  (** True for clocked operators (reg, counter, sram). *)
 }
 
-type params = (string * string) list
-
-val failf : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** Raise {!Spec_error} with a formatted message. *)
-
-(** Typed parameter accessors (raise {!Spec_error} on bad values). *)
-
-val param_opt : params -> string -> string option
-val param_int_opt : params -> string -> int option
-val param_int : params -> string -> default:int -> int
-val param_string : params -> string -> default:string -> string
-val require_int : params -> kind:string -> string -> int
-val require_string : params -> kind:string -> string -> string
+type attrs = (string * string) list
+(** A document's operator attributes other than id, kind and width. *)
 
 val sel_width : int -> int
 (** Select width for an [n]-input mux: bits needed to address [n - 1]
     (at least 1). *)
 
-val lookup : kind:string -> width:int -> params:params -> t
-(** Port interface of an instance. Raises {!Spec_error} for unknown kinds,
-    invalid widths, or missing/invalid parameters. *)
-
-val is_known : string -> bool
-val all_kinds : string list
-(** Every supported kind, sorted. *)
+val lookup : kind:Opkind.t -> width:int -> attrs -> t
+(** Resolve an instance. Raises {!Spec_error} for an invalid width or a
+    missing or invalid parameter of the kind. Attributes the kind does
+    not read are ignored. *)

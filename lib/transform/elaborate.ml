@@ -1,4 +1,5 @@
 module Dp = Netlist.Datapath
+module Elab = Netlist.Elab
 module Opspec = Operators.Opspec
 module Models = Operators.Models
 open Sim
@@ -14,26 +15,27 @@ type t = {
 }
 
 let datapath ?engine ?clock ~memories dp =
-  Dp.validate dp;
+  let elab = Elab.of_datapath dp in
   let engine = match engine with Some e -> e | None -> Engine.create () in
   let clock =
     match clock with Some c -> c | None -> Clock.create engine ()
   in
   let notifications = Models_log.create () in
   (* One signal per operator output port, one per control input. *)
-  let port_signals : (string, Engine.signal) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (op : Dp.operator) ->
-      let spec = Dp.operator_spec op in
-      List.iter
-        (fun (p : Opspec.port) ->
-          if p.Opspec.direction = Opspec.Out then begin
-            let name = op.Dp.id ^ "." ^ p.Opspec.port_name in
-            Hashtbl.replace port_signals name
-              (Engine.signal engine ~name p.Opspec.port_width)
-          end)
-        spec.Opspec.ports)
-    dp.Dp.operators;
+  let outputs =
+    Array.of_list
+      (List.map
+         (fun (o : Elab.op) ->
+           List.filter_map
+             (fun (p : Opspec.port) ->
+               if p.Opspec.direction = Opspec.Out then
+                 let name = Elab.endpoint o p in
+                 Some (p.Opspec.port_name, Engine.signal engine ~name p.Opspec.port_width)
+               else None)
+             o.Elab.spec.Opspec.ports)
+         (Elab.ops elab))
+  in
+  let output (o : Elab.op) port = List.assoc port outputs.(o.Elab.id) in
   let controls =
     List.map
       (fun (c : Dp.control) ->
@@ -41,55 +43,46 @@ let datapath ?engine ?clock ~memories dp =
           Engine.signal engine ~name:("ctl." ^ c.Dp.ctl_name) c.Dp.ctl_width ))
       dp.Dp.controls
   in
-  let source_signal = function
-    | Dp.From_op ep -> Hashtbl.find port_signals (Dp.endpoint_to_string ep)
-    | Dp.From_control name -> List.assoc name controls
-  in
-  (* Input port -> driving signal, via the unique net sinking into it. *)
-  let input_signals : (string, Engine.signal) Hashtbl.t = Hashtbl.create 64 in
+  (* Instantiate the operator models; an input port reads its driver's
+     signal. The models keep [find_signal], so it holds only this
+     operator's signals, not the elaborated netlist. *)
   List.iter
-    (fun (n : Dp.net) ->
-      let src = source_signal n.Dp.source in
-      List.iter
-        (fun ep ->
-          Hashtbl.replace input_signals (Dp.endpoint_to_string ep) src)
-        n.Dp.sinks)
-    dp.Dp.nets;
-  (* Instantiate the operator models. *)
-  List.iter
-    (fun (op : Dp.operator) ->
-      let find_signal port =
-        let key = op.Dp.id ^ "." ^ port in
-        match Hashtbl.find_opt port_signals key with
-        | Some s -> s
-        | None -> (
-            match Hashtbl.find_opt input_signals key with
-            | Some s -> s
-            | None -> failwith ("elaborate: no signal for port " ^ key))
+    (fun (o : Elab.op) ->
+      let signals =
+        outputs.(o.Elab.id)
+        @ List.map
+            (fun ((p : Opspec.port), d) ->
+              ( p.Opspec.port_name,
+                match d with
+                | Elab.Op_out (src, q) -> output src q.Opspec.port_name
+                | Elab.Ctl c -> List.assoc c.Dp.ctl_name controls ))
+            o.Elab.inputs
       in
       let env =
         {
           Models.engine;
           clock = Clock.signal clock;
           find_memory = memories;
-          find_signal;
-          instance = op.Dp.id;
+          find_signal = (fun port -> List.assoc port signals);
+          instance = o.Elab.name;
           notify = Models_log.record notifications;
         }
       in
-      Models.instantiate env ~kind:op.Dp.kind ~width:op.Dp.width
-        ~params:op.Dp.params)
-    dp.Dp.operators;
+      Models.instantiate env ~width:o.Elab.width o.Elab.spec)
+    (Elab.ops elab);
   let statuses =
     List.map
       (fun (st : Dp.status) ->
-        ( st.Dp.st_name,
-          Hashtbl.find port_signals (Dp.endpoint_to_string st.Dp.st_source) ))
+        let ep = st.Dp.st_source in
+        (st.Dp.st_name, output (Option.get (Elab.find elab ep.Dp.inst)) ep.Dp.port))
       dp.Dp.statuses
   in
   let ports =
-    Hashtbl.fold (fun name s acc -> (name, s) :: acc) port_signals []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    List.sort
+      (fun (a, _) (b, _) -> compare a b)
+      (List.concat_map
+         (List.map (fun (_, s) -> (Engine.name s, s)))
+         (Array.to_list outputs))
   in
   { engine; clock; datapath = dp; controls; statuses; ports; notifications }
 

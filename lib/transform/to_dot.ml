@@ -12,14 +12,16 @@ let datapath (dp : Dp.t) =
   in
   List.iter
     (fun (op : Dp.operator) ->
-      let label = Printf.sprintf "%s\n%s/%d" op.Dp.id op.Dp.kind op.Dp.width in
+      let label =
+        Printf.sprintf "%s\n%s/%d" op.Dp.id (Opkind.to_string op.Dp.kind)
+          op.Dp.width
+      in
       let attrs =
-        match Opkind.of_string op.Dp.kind with
-        | Some (Opkind.Sram | Opkind.Rom) ->
-            [ ("shape", "box3d"); ("label", label) ]
-        | Some k when Opkind.is_test_aid k ->
+        match op.Dp.kind with
+        | Sram | Rom -> [ ("shape", "box3d"); ("label", label) ]
+        | k when Opkind.is_test_aid k ->
             [ ("shape", "box"); ("style", "dashed"); ("label", label) ]
-        | Some Opkind.Const -> [ ("shape", "plaintext"); ("label", label) ]
+        | Const -> [ ("shape", "plaintext"); ("label", label) ]
         | _ -> [ ("shape", "box"); ("label", label) ]
       in
       Dot.add_node g op.Dp.id ~attrs)

@@ -437,8 +437,7 @@ type hw_ctx = {
   max_nodes : int;
 }
 
-let mux_inputs (op : Elab.op) =
-  Opspec.param_int op.Elab.params "inputs" ~default:2
+let params (op : Elab.op) = op.Elab.spec.Opspec.params
 
 (* The cone feeding an operator's input port. *)
 let rec cone ctx (op : Elab.op) port =
@@ -463,18 +462,13 @@ and cone_uncached ctx op port =
   | Elab.Op_out (src, _) -> op_cone ctx src
 
 and op_cone ctx (op : Elab.op) =
-  let sink = cone ctx op and width = op.Elab.width and params = op.Elab.params in
+  let sink = cone ctx op and width = op.Elab.width in
   match op.Elab.kind with
-  | Const ->
-      Sconst (width, Opspec.param_int params "value" ~default:0 land umax width)
+  | Const -> Sconst (width, (params op).value land umax width)
   | Reg | Counter -> Sreg (op.Elab.name, width)
-  | Sram | Rom ->
-      Sread
-        ( Opspec.param_string params "memory" ~default:op.Elab.name,
-          width,
-          sink "addr" )
+  | Sram | Rom -> Sread ((params op).memory, width, sink "addr")
   | Mux -> (
-      let n = mux_inputs op in
+      let n = (params op).inputs in
       match sink "sel" with
       | Sconst (_, v) -> sink (Printf.sprintf "in%d" (min v (n - 1)))
       | sel ->
@@ -548,11 +542,8 @@ let state_ctx ~nodes ~max_nodes side st =
 let ops_of e kind =
   List.filter (fun (o : Elab.op) -> o.Elab.kind = kind) (Elab.ops e)
 
-let int_param (op : Elab.op) name =
-  Opspec.param_int op.Elab.params name ~default:0
-
-let mem_param (op : Elab.op) =
-  Opspec.param_string op.Elab.params "memory" ~default:op.Elab.name
+let reg_init (op : Elab.op) = Option.value (params op).init ~default:0
+let mem_param (op : Elab.op) = (params op).memory
 
 (* Pair up the architectural elements of the two datapaths. Registers,
    counters, checks, stops and probes keep their ids across the hardware
@@ -584,11 +575,11 @@ let compare_effects ~bounds ~state (rc : hw_ctx) (cc : hw_ctx) =
   let name (o : Elab.op) = o.Elab.name in
   let pair = match_by ~state in
   pair ~what:"register" name (ops_of rc.e Reg) (ops_of cc.e Reg) (fun ro co ->
-      if int_param ro "init" <> int_param co "init" then
+      if reg_init ro <> reg_init co then
         raise
           (Refute
              (Printf.sprintf "register %s: reset values differ (%d vs %d)"
-                ro.Elab.name (int_param ro "init") (int_param co "init")));
+                ro.Elab.name (reg_init ro) (reg_init co)));
       let ren = cone_r ro "en" and cen = cone_c co "en" in
       let what p = Printf.sprintf "register %s %s" ro.Elab.name p in
       chk ~what:(what "enable") ren cen;
@@ -599,10 +590,6 @@ let compare_effects ~bounds ~state (rc : hw_ctx) (cc : hw_ctx) =
         chk ~what:(what "data") (cone_r ro "d") (cone_c co "d"));
   pair ~what:"counter" name (ops_of rc.e Counter) (ops_of cc.e Counter)
     (fun ro co ->
-      if int_param ro "init" <> int_param co "init" then
-        raise
-          (Refute
-             (Printf.sprintf "counter %s: reset values differ" ro.Elab.name));
       let what p = Printf.sprintf "counter %s %s" ro.Elab.name p in
       chk ~what:(what "enable") (cone_r ro "en") (cone_c co "en");
       let rload = cone_r ro "load" and cload = cone_c co "load" in
@@ -621,7 +608,7 @@ let compare_effects ~bounds ~state (rc : hw_ctx) (cc : hw_ctx) =
       end);
   pair ~what:"check" name (ops_of rc.e Check)
     (ops_of cc.e Check) (fun ro co ->
-      if int_param ro "value" <> int_param co "value" then
+      if (params ro).value <> (params co).value then
         raise
           (Refute
              (Printf.sprintf "check %s: expected values differ" ro.Elab.name));

@@ -35,7 +35,7 @@ let fsm ?(inputs = []) ?(outputs = []) ?(name = "f") ~initial states =
   { Fsm.fsm_name = name; inputs; outputs; initial; states }
 
 let const ?(value = 1) id w =
-  op id "const" w ~params:[ ("value", string_of_int value) ]
+  op id Const w ~params:[ ("value", string_of_int value) ]
 
 let codes ds = List.sort_uniq compare (List.map (fun d -> d.Diag.code) ds)
 
@@ -69,7 +69,7 @@ let deep_of dpd fsmd =
 let done_fsm = fsm ~name:"t_fsm" ~initial:"s0" [ state "s0" ~is_done:true ]
 
 let sram ?(size = 4) id =
-  op id "sram" 8
+  op id Sram 8
     ~params:
       [ ("memory", "m"); ("addr-width", "3"); ("size", string_of_int size) ]
 
@@ -124,7 +124,7 @@ let test_ai001_partial_oob_write () =
     dp "t_dp"
       ~operators:
         [
-          op "cnt" "counter" 3; const ~value:1 "en1" 1;
+          op "cnt" Counter 3; const ~value:1 "en1" 1;
           const ~value:0 "ld0" 1; const ~value:0 "z3" 3;
           const ~value:7 "d0" 8; const ~value:1 "we1" 1; sram "ram";
         ]
@@ -158,9 +158,9 @@ let test_ai002_oob_read () =
       ~operators:
         [
           const ~value:6 "a6" 3;
-          op "rom1" "rom" 8
+          op "rom1" Rom 8
             ~params:[ ("memory", "m"); ("addr-width", "3"); ("size", "4") ];
-          op "p" "probe" 8;
+          op "p" Probe 8;
         ]
       ~nets:
         [
@@ -178,7 +178,7 @@ let test_ai003_read_before_write () =
     dp "t_dp"
       ~operators:
         [
-          op "rg" "reg" 8; const ~value:0 "z8" 8; const ~value:0 "en0" 1;
+          op "rg" Reg 8; const ~value:0 "z8" 8; const ~value:0 "en0" 1;
           const ~value:0 "a0" 3; const ~value:1 "we1" 1; sram "ram";
         ]
       ~nets:
@@ -197,7 +197,7 @@ let test_ai004_division_by_zero () =
   let d =
     dp "t_dp"
       ~operators:
-        [ const ~value:5 "c5" 8; const ~value:0 "c0" 8; op "dv" "divu" 8 ]
+        [ const ~value:5 "c5" 8; const ~value:0 "c0" 8; op "dv" (Bin Divu) 8 ]
       ~nets:
         [
           net "n1" 8 (from "c5.y") ~sinks:[ "dv.a" ];
@@ -213,8 +213,8 @@ let test_ai005_truncation () =
       ~operators:
         [
           const ~value:200 "big" 8;
-          op "z" "zext" 4 ~params:[ ("from", "8") ];
-          op "p" "probe" 4;
+          op "z" Zext 4 ~params:[ ("from", "8") ];
+          op "p" Probe 4;
         ]
       ~nets:
         [
@@ -229,7 +229,7 @@ let test_ai005_truncation () =
    per state once the controller is known. *)
 let loop_dp =
   dp "t_dp"
-    ~operators:[ op "g" "not" 8; op "m" "mux" 8; const "c" 8 ]
+    ~operators:[ op "g" (Un Not) 8; op "m" Mux 8; const "c" 8 ]
     ~controls:[ ctl "sel" 1 ]
     ~nets:
       [
@@ -336,7 +336,7 @@ let in_temp_dir f =
 
 let fix_dp =
   dp "g_dp"
-    ~operators:[ const "c" 8; op "r" "reg" 8 ]
+    ~operators:[ const "c" 8; op "r" Reg 8 ]
     ~controls:[ ctl "r_en" 1; ctl "spare" 1 ]
     ~statuses:[ status "done_f" "r.q" ]
     ~nets:
@@ -597,7 +597,7 @@ let prop_absint_sound =
           let seq_ids =
             List.filter_map
               (fun (o : Dp.operator) ->
-                if o.Dp.kind = "reg" || o.Dp.kind = "counter" then
+                if o.Dp.kind = Reg || o.Dp.kind = Counter then
                   Some o.Dp.id
                 else None)
               p.Compile.datapath.Dp.operators

@@ -138,7 +138,7 @@ let test_hwgen_branch_state () =
 let test_hwgen_const_dedup () =
   let r = generate "program t width 8; var a; var b; a = 5 + 5; b = 5;" in
   let consts =
-    List.filter (fun (op : Dp.operator) -> op.Dp.kind = "const")
+    List.filter (fun (op : Dp.operator) -> op.Dp.kind = Const)
       r.Hwgen.datapath.Dp.operators
   in
   check_int "single const 5" 1 (List.length consts)
@@ -154,12 +154,12 @@ let test_hwgen_mux_only_when_needed () =
   (* A variable written from one source needs no mux. *)
   let r = generate "program t width 8; var a; a = 1;" in
   check_bool "no mux" true
-    (List.for_all (fun (op : Dp.operator) -> op.Dp.kind <> "mux")
+    (List.for_all (fun (op : Dp.operator) -> op.Dp.kind <> Mux)
        r.Hwgen.datapath.Dp.operators);
   (* Two distinct sources require one. *)
   let r2 = generate "program t width 8; var a; a = 1; a = a + 2;" in
   check_bool "mux present" true
-    (List.exists (fun (op : Dp.operator) -> op.Dp.kind = "mux")
+    (List.exists (fun (op : Dp.operator) -> op.Dp.kind = Mux)
        r2.Hwgen.datapath.Dp.operators)
 
 let test_hwgen_unused_memory_not_instantiated () =
@@ -180,8 +180,8 @@ let test_sharing_reduces_fus () =
       (List.filter (fun (op : Dp.operator) -> op.Dp.kind = kind)
          r.Hwgen.datapath.Dp.operators)
   in
-  check_int "one shared adder" 1 (count_kind shared "add");
-  check_int "four dedicated adders" 4 (count_kind plain "add");
+  check_int "one shared adder" 1 (count_kind shared (Bin Add));
+  check_int "four dedicated adders" 4 (count_kind plain (Bin Add));
   Alcotest.(check (list string)) "shared datapath valid" [] (Dp.check shared.Hwgen.datapath)
 
 let random_program_gen =

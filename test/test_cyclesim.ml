@@ -5,6 +5,9 @@ module Compile = Compiler.Compile
 module Verify = Testinfra.Verify
 module Simulate = Testinfra.Simulate
 module Memory = Operators.Memory
+module Builder = Netlist.Dpbuilder
+module Dp = Netlist.Datapath
+module Fsm = Fsmkit.Fsm
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -75,7 +78,6 @@ let test_check_failures_counted () =
 (* The compiled [a = 7] program plus an [add] whose output feeds its own
    input [a]: a combinational self-loop, which lint reports as DP013. *)
 let self_loop_partition () =
-  let module Dp = Netlist.Datapath in
   let compiled = compile "program t width 8; var a; a = 7;" in
   let p = List.hd compiled.Compile.partitions in
   let dp = p.Compile.datapath in
@@ -93,8 +95,8 @@ let self_loop_partition () =
       Dp.operators =
         dp.Dp.operators
         @ [
-            { Dp.id = "loop"; kind = "add"; width = 8; params = [] };
-            { Dp.id = "loop_b"; kind = "const"; width = 8; params = [ ("value", "1") ] };
+            { Dp.id = "loop"; kind = Bin Add; width = 8; params = [] };
+            { Dp.id = "loop_b"; kind = Const; width = 8; params = [ ("value", "1") ] };
           ];
       nets =
         dp.Dp.nets
@@ -159,6 +161,61 @@ let prop_equivalence =
       ev.Simulate.completed && outcome = `Done && ev_mems = cy_mems
       && ev.Simulate.cycles = Cyclesim.cycles cy)
 
+(* A failing check with action="stop" ends the run in every simulator,
+   on the same cycle. A free-running register counts up from 0 under a
+   check expecting 0, so the check fails at the second rising edge. *)
+let test_stop_check_ends_every_simulator () =
+  let compiled = compile "program t width 8; var a; a = 1;" in
+  let p = List.hd compiled.Compile.partitions in
+  let b = Builder.create p.Compile.datapath.Dp.dp_name in
+  let r = Builder.add_operator b ~id:"r" ~kind:Reg ~width:8 ~params:[ ("init", "0") ] () in
+  let one = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "1") ] () in
+  let inc = Builder.add_operator b ~id:"inc" ~kind:(Bin Add) ~width:8 () in
+  let chk =
+    Builder.add_operator b ~id:"chk" ~kind:Check ~width:8
+      ~params:[ ("value", "0"); ("action", "stop") ] ()
+  in
+  Builder.add_control b "en" 1;
+  Builder.connect b ~from:(r ^ ".q") [ inc ^ ".a"; chk ^ ".a" ];
+  Builder.connect b ~from:(one ^ ".y") [ inc ^ ".b" ];
+  Builder.connect b ~from:(inc ^ ".y") [ r ^ ".d" ];
+  Builder.connect b ~from:"ctl.en" [ r ^ ".en"; chk ^ ".en" ];
+  let dp = Builder.finish b in
+  let fsm =
+    {
+      p.Compile.fsm with
+      Fsm.inputs = [];
+      outputs = [ { Fsm.io_name = "en"; io_width = 1; default = 0 } ];
+      initial = "run";
+      states =
+        [
+          {
+            Fsm.sname = "run";
+            is_done = false;
+            settings = [ ("en", 1) ];
+            transitions = [ { Fsm.guard = Fsmkit.Guard.True; target = "run" } ];
+          };
+        ];
+    }
+  in
+  let memories _ = failwith "no memories" in
+  let ev = Simulate.run_configuration ~max_cycles:100 ~memories dp fsm in
+  check_bool "event: stopped" true
+    (match ev.Simulate.stop with Sim.Engine.Stop_requested _ -> true | _ -> false);
+  let cy = Cyclesim.create ~memories dp fsm in
+  check_bool "cycle: stopped" true (Cyclesim.run ~max_cycles:100 cy = `Stopped);
+  check_int "cycle: same cycle" ev.Simulate.cycles (Cyclesim.cycles cy);
+  let compiled =
+    { compiled with Compile.partitions = [ { p with Compile.datapath = dp; fsm } ] }
+  in
+  let fs =
+    (Fastsim.run ~max_cycles:100 (Fastsim.compile compiled)
+       [| Fastsim.clean_lane memories |]).(0)
+  in
+  check_bool "fastsim: stopped" false fs.Fastsim.completed;
+  check_int "fastsim: one failure" 1 fs.Fastsim.checks;
+  check_int "fastsim: same cycle" ev.Simulate.cycles fs.Fastsim.total_cycles
+
 let suite =
   [
     ("equivalence on hamming", `Quick, test_equivalence_hamming);
@@ -167,5 +224,6 @@ let suite =
     ("max cycles", `Quick, test_max_cycles);
     ("check failures counted", `Quick, test_check_failures_counted);
     ("shared design rejected", `Quick, test_shared_design_rejected);
+    ("failing stop check ends every simulator", `Quick, test_stop_check_ends_every_simulator);
     QCheck_alcotest.to_alcotest prop_equivalence;
   ]

@@ -14,16 +14,16 @@ let contains needle hay =
 
 let sample_dp () =
   let b = Builder.create "dp1" in
-  let c = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "3") ] () in
-  let r = Builder.add_operator b ~id:"r0" ~kind:"reg" ~width:8 () in
-  let add = Builder.add_operator b ~id:"add0" ~kind:"add" ~width:8 () in
-  let cmp = Builder.add_operator b ~id:"cmp0" ~kind:"lts" ~width:8 () in
+  let c = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "3") ] () in
+  let r = Builder.add_operator b ~id:"r0" ~kind:Reg ~width:8 () in
+  let add = Builder.add_operator b ~id:"add0" ~kind:(Bin Add) ~width:8 () in
+  let cmp = Builder.add_operator b ~id:"cmp0" ~kind:(Cmp Lts) ~width:8 () in
   let m =
-    Builder.add_operator b ~id:"ram" ~kind:"sram" ~width:8
+    Builder.add_operator b ~id:"ram" ~kind:Sram ~width:8
       ~params:[ ("memory", "buf"); ("addr-width", "4"); ("size", "16") ] ()
   in
   let mux =
-    Builder.add_operator b ~id:"mux0" ~kind:"mux" ~width:8
+    Builder.add_operator b ~id:"mux0" ~kind:Mux ~width:8
       ~params:[ ("inputs", "2") ] ()
   in
   Builder.add_control b "en" 1;
@@ -40,7 +40,7 @@ let sample_dp () =
   Builder.connect b ~from:"ctl.we" [ m ^ ".we" ];
   (* address: tie to the register output truncated by a zext *)
   let z =
-    Builder.add_operator b ~id:"z0" ~kind:"zext" ~width:4 ~params:[ ("from", "8") ] ()
+    Builder.add_operator b ~id:"z0" ~kind:Zext ~width:4 ~params:[ ("from", "8") ] ()
   in
   Builder.connect b ~from:(r ^ ".q") [ z ^ ".a" ];
   Builder.connect b ~from:(z ^ ".y") [ m ^ ".addr" ];
@@ -124,10 +124,10 @@ let test_vhdl_system () =
 
 let test_emitters_minmax_abs () =
   let b = Builder.create "mm" in
-  let c1 = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "3") ] () in
-  let c2 = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "9") ] () in
-  let mn = Builder.add_operator b ~id:"mn" ~kind:"mins" ~width:8 () in
-  let ab = Builder.add_operator b ~id:"ab" ~kind:"abs" ~width:8 () in
+  let c1 = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "3") ] () in
+  let c2 = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "9") ] () in
+  let mn = Builder.add_operator b ~id:"mn" ~kind:(Bin Mins) ~width:8 () in
+  let ab = Builder.add_operator b ~id:"ab" ~kind:(Un Abs) ~width:8 () in
   Builder.connect b ~from:(c1 ^ ".y") [ mn ^ ".a" ];
   Builder.connect b ~from:(c2 ^ ".y") [ mn ^ ".b" ];
   Builder.connect b ~from:(mn ^ ".y") [ ab ^ ".a" ];

@@ -46,7 +46,7 @@ let severity_of c ds =
 
 (* --- structural datapath codes ---------------------------------------- *)
 
-let const ?(value = 1) id w = op id "const" w ~params:[ ("value", string_of_int value) ]
+let const ?(value = 1) id w = op id Const w ~params:[ ("value", string_of_int value) ]
 
 let test_dp_structural_codes () =
   let c = check_code in
@@ -62,7 +62,7 @@ let test_dp_structural_codes () =
     (Dp.check_diags
        (dp "d" ~operators:[ const "c" 1 ]
           ~statuses:[ status "s" "c.y"; status "s" "c.y" ]));
-  c "bad kind" "DP005" (Dp.check_diags (dp "d" ~operators:[ op "x" "bogus" 1 ]));
+  c "missing parameter" "DP005" (Dp.check_diags (dp "d" ~operators:[ op "x" Const 1 ]));
   c "ghost instance" "DP006"
     (Dp.check_diags (dp "d" ~nets:[ net "n" 1 (from "ghost.y") ]));
   c "no such port" "DP007"
@@ -75,13 +75,13 @@ let test_dp_structural_codes () =
        (dp "d" ~operators:[ const "c" 8 ] ~nets:[ net "n" 4 (from "c.y") ]));
   c "input as source" "DP010"
     (Dp.check_diags
-       (dp "d" ~operators:[ op "r" "reg" 8 ] ~nets:[ net "n" 8 (from "r.d") ]));
+       (dp "d" ~operators:[ op "r" Reg 8 ] ~nets:[ net "n" 8 (from "r.d") ]));
   c "unconnected input" "DP011"
-    (Dp.check_diags (dp "d" ~operators:[ op "g" "not" 1 ]));
+    (Dp.check_diags (dp "d" ~operators:[ op "g" (Un Not) 1 ]));
   c "two drivers" "DP012"
     (Dp.check_diags
        (dp "d"
-          ~operators:[ const "c1" 1; const "c2" 1; op "g" "not" 1 ]
+          ~operators:[ const "c1" 1; const "c2" 1; op "g" (Un Not) 1 ]
           ~nets:
             [
               net "n1" 1 (from "c1.y") ~sinks:[ "g.a" ];
@@ -161,7 +161,7 @@ let test_rtg_codes () =
 (* A structurally clean core: const -> reg (sequential seed). *)
 let clean_dp =
   dp "clean"
-    ~operators:[ const "c" 8; const ~value:1 "e" 1; op "r" "reg" 8 ]
+    ~operators:[ const "c" 8; const ~value:1 "e" 1; op "r" Reg 8 ]
     ~nets:
       [
         net "n1" 8 (from "c.y") ~sinks:[ "r.d" ];
@@ -175,7 +175,7 @@ let test_combinational_loop () =
   (* Two inverters feeding each other: a certain oscillation. *)
   let d =
     dp "loop"
-      ~operators:[ op "g1" "not" 1; op "g2" "not" 1 ]
+      ~operators:[ op "g1" (Un Not) 1; op "g2" (Un Not) 1 ]
       ~nets:
         [
           net "a" 1 (from "g1.y") ~sinks:[ "g2.a" ];
@@ -193,7 +193,7 @@ let test_mux_broken_loop_warns () =
      routed — a warning, not an error. *)
   let d =
     dp "shared"
-      ~operators:[ op "g" "not" 8; op "m" "mux" 8; const "c" 8 ]
+      ~operators:[ op "g" (Un Not) 8; op "m" Mux 8; const "c" 8 ]
       ~controls:[ ctl "sel" 1 ]
       ~nets:
         [
@@ -212,7 +212,7 @@ let test_mux_broken_loop_warns () =
 let test_dead_operator () =
   let d =
     dp "dead"
-      ~operators:(clean_dp.Dp.operators @ [ op "g" "not" 8 ])
+      ~operators:(clean_dp.Dp.operators @ [ op "g" (Un Not) 8 ])
       ~nets:(clean_dp.Dp.nets @ [ net "n3" 8 (from "c.y") ~sinks:[ "g.a" ] ])
   in
   let ds = Lint.run_datapath d in
@@ -272,7 +272,7 @@ let test_fsm_shadowed_transition () =
 (* A linked clean pair: control-enabled register, status read back. *)
 let linked_dp =
   dp "gcd_dp"
-    ~operators:[ const "c" 8; op "r" "reg" 8 ]
+    ~operators:[ const "c" 8; op "r" Reg 8 ]
     ~controls:[ ctl "r_en" 1 ]
     ~statuses:[ status "done_f" "r.q" ]
     ~nets:
@@ -400,6 +400,37 @@ let test_loader_codes () =
       write (Filename.concat dir "b_rtg.xml") "<rtg name=\"b\" initial=\"b\"/>";
       check_code "two rtgs" "BND001" (Lint.run_dir dir))
 
+(* Operator kinds and parameters are resolved when a document loads: a
+   kind outside the catalogue and a malformed parameter are both DP005,
+   never a schema error or an exception. *)
+let test_operator_load_codes () =
+  let operator attrs =
+    Printf.sprintf
+      "<datapath name=\"d\"><operators><operator id=\"x\" %s/></operators>\
+       <nets/></datapath>"
+      attrs
+  in
+  in_temp_dir (fun dir ->
+      List.iteri
+        (fun i (what, attrs) ->
+          let path = Filename.concat dir (Printf.sprintf "op%d.xml" i) in
+          write path (operator attrs);
+          let ds = Lint.run_file path in
+          check_code what "DP005" ds;
+          Alcotest.(check bool) (what ^ ": no schema error") false
+            (List.mem "XML002" (codes ds)))
+        [
+          ("unknown kind", {|kind="bogus" width="8"|});
+          ("non-integer init", {|kind="reg" width="8" init="x"|});
+          ("non-integer step", {|kind="counter" width="8" step="1.5"|});
+          ("non-integer inputs", {|kind="mux" width="8" inputs="two"|});
+          ("memory without size", {|kind="sram" width="8" memory="m" addr-width="3"|});
+          ("memory size beyond its addresses",
+           {|kind="rom" width="8" memory="m" addr-width="3" size="9"|});
+          ("empty memory", {|kind="sram" width="8" memory="m" addr-width="3" size="0"|});
+          ("unknown check action", {|kind="check" width="8" value="1" action="halt"|});
+        ])
+
 let test_run_dir_clean_bundle () =
   in_temp_dir (fun dir ->
       let r = Rtg.singleton ~name:"gcd" ~datapath_ref:"gcd_dp" ~fsm_ref:"gcd_fsm" in
@@ -513,6 +544,7 @@ let suite =
     Alcotest.test_case "bundle missing document" `Quick test_bundle_missing_doc;
     Alcotest.test_case "bundle width mismatch" `Quick test_bundle_width_mismatch;
     Alcotest.test_case "loader codes" `Quick test_loader_codes;
+    Alcotest.test_case "operator load codes" `Quick test_operator_load_codes;
     Alcotest.test_case "run_dir on clean bundle" `Quick test_run_dir_clean_bundle;
     Alcotest.test_case "workload kernels lint-clean" `Quick test_compiled_designs_lint_clean;
     QCheck_alcotest.to_alcotest prop_generated_designs_lint_clean;

@@ -11,11 +11,11 @@ let check_str = Alcotest.(check string)
    an overflow-ish status. *)
 let sample () =
   let b = Builder.create "accumulate" in
-  let c1 = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "1") ] () in
-  let acc = Builder.add_operator b ~id:"acc" ~kind:"reg" ~width:8 () in
-  let add = Builder.add_operator b ~id:"add0" ~kind:"add" ~width:8 () in
-  let cmp = Builder.add_operator b ~id:"cmp0" ~kind:"geu" ~width:8 () in
-  let lim = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "100") ] () in
+  let c1 = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "1") ] () in
+  let acc = Builder.add_operator b ~id:"acc" ~kind:Reg ~width:8 () in
+  let add = Builder.add_operator b ~id:"add0" ~kind:(Bin Add) ~width:8 () in
+  let cmp = Builder.add_operator b ~id:"cmp0" ~kind:(Cmp Geu) ~width:8 () in
+  let lim = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "100") ] () in
   Builder.add_control b "acc_en" 1;
   Builder.add_status b ~name:"limit" ~from:(cmp ^ ".y");
   Builder.connect b ~from:(c1 ^ ".y") [ add ^ ".b" ];
@@ -33,8 +33,8 @@ let test_builder_produces_valid () =
 
 let test_fu_count_excludes_test_aids () =
   let b = Builder.create "probed" in
-  let c = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "3") ] () in
-  let p = Builder.add_operator b ~kind:"probe" ~width:8 () in
+  let c = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "3") ] () in
+  let p = Builder.add_operator b ~kind:Probe ~width:8 () in
   Builder.connect b ~from:(c ^ ".y") [ p ^ ".a" ];
   let dp = Builder.finish b in
   check_int "probe not counted" 1 (Dp.functional_unit_count dp);
@@ -78,17 +78,17 @@ let has_error dp fragment =
       n = 0 || go 0)
     (Dp.check dp)
 
+(* A kind outside the catalogue cannot be represented: loading it is the
+   DP005 diagnostic. *)
 let test_check_unknown_kind () =
-  let dp =
-    break (fun dp ->
-        {
-          dp with
-          Dp.operators =
-            { Dp.id = "bad"; kind = "wizz"; width = 8; params = [] }
-            :: dp.Dp.operators;
-        })
+  let xml =
+    {|<datapath name="d"><operators><operator id="bad" kind="wizz" width="8"/></operators><nets/></datapath>|}
   in
-  check_bool "reports unknown kind" true (has_error dp "unknown operator kind")
+  match Dp.of_xml (Xmlkit.Xml_parser.parse_string xml) with
+  | _ -> Alcotest.fail "unknown kind loaded"
+  | exception Dp.Unknown_kind d ->
+      check_str "code" "DP005" d.Diag.code;
+      check_str "message" {|unknown operator kind "wizz"|} d.Diag.message
 
 let test_check_duplicate_id () =
   let dp =
@@ -185,17 +185,17 @@ let test_validate_raises () =
 
 let test_builder_duplicate_id_rejected () =
   let b = Builder.create "x" in
-  ignore (Builder.add_operator b ~id:"a" ~kind:"add" ~width:8 ());
+  ignore (Builder.add_operator b ~id:"a" ~kind:(Bin Add) ~width:8 ());
   let raised =
-    try ignore (Builder.add_operator b ~id:"a" ~kind:"sub" ~width:8 ()); false
+    try ignore (Builder.add_operator b ~id:"a" ~kind:(Bin Sub) ~width:8 ()); false
     with Invalid_argument _ -> true
   in
   check_bool "duplicate id rejected" true raised
 
 let test_builder_width_inference () =
   let b = Builder.create "w" in
-  let cmp = Builder.add_operator b ~kind:"ltu" ~width:16 () in
-  let probe = Builder.add_operator b ~kind:"probe" ~width:1 () in
+  let cmp = Builder.add_operator b ~kind:(Cmp Ltu) ~width:16 () in
+  let probe = Builder.add_operator b ~kind:Probe ~width:1 () in
   Builder.connect b ~from:(cmp ^ ".y") [ probe ^ ".a" ];
   let dp = Builder.finish b in
   let net = List.hd dp.Dp.nets in
@@ -208,12 +208,12 @@ let prop_roundtrip =
     (fun n ->
       let b = Builder.create "chain" in
       let first =
-        Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "1") ] ()
+        Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "1") ] ()
       in
       let rec chain prev i =
         if i = 0 then prev
         else begin
-          let inst = Builder.add_operator b ~kind:"not" ~width:8 () in
+          let inst = Builder.add_operator b ~kind:(Un Not) ~width:8 () in
           Builder.connect b ~from:(prev ^ ".y") [ inst ^ ".a" ];
           chain inst (i - 1)
         end
@@ -234,8 +234,8 @@ let reserved_id_design id =
     Dp.dp_name = "rsv";
     operators =
       [
-        { Dp.id; kind = "const"; width = 8; params = [ ("value", "3") ] };
-        { Dp.id = "r"; kind = "reg"; width = 8; params = [] };
+        { Dp.id; kind = Const; width = 8; params = [ ("value", "3") ] };
+        { Dp.id = "r"; kind = Reg; width = 8; params = [] };
       ];
     controls =
       [ { Dp.ctl_name = "y"; ctl_width = 8 }; { Dp.ctl_name = "en"; ctl_width = 1 } ];

@@ -54,19 +54,19 @@ let test_memory_width_mismatch () =
 (* --- specs ----------------------------------------------------------- *)
 
 let test_spec_binary () =
-  let spec = Opspec.lookup ~kind:"add" ~width:16 ~params:[] in
+  let spec = Opspec.lookup ~kind:(Bin Add) ~width:16 [] in
   check_bool "not sequential" false spec.Opspec.sequential;
   check_int "three ports" 3 (List.length spec.Opspec.ports);
   let y = List.find (fun p -> p.Opspec.port_name = "y") spec.Opspec.ports in
   check_int "y width" 16 y.Opspec.port_width
 
 let test_spec_comparison_output_is_bit () =
-  let spec = Opspec.lookup ~kind:"lts" ~width:16 ~params:[] in
+  let spec = Opspec.lookup ~kind:(Cmp Lts) ~width:16 [] in
   let y = List.find (fun p -> p.Opspec.port_name = "y") spec.Opspec.ports in
   check_int "y width 1" 1 y.Opspec.port_width
 
 let test_spec_mux () =
-  let spec = Opspec.lookup ~kind:"mux" ~width:8 ~params:[ ("inputs", "5") ] in
+  let spec = Opspec.lookup ~kind:Mux ~width:8 [ ("inputs", "5") ] in
   check_int "5 inputs + sel + y" 7 (List.length spec.Opspec.ports);
   let sel = List.find (fun p -> p.Opspec.port_name = "sel") spec.Opspec.ports in
   check_int "sel width for 5 inputs" 3 sel.Opspec.port_width
@@ -80,31 +80,41 @@ let test_sel_width () =
 
 let test_spec_errors () =
   let fails f = try ignore (f ()); false with Opspec.Spec_error _ -> true in
-  check_bool "unknown kind" true
-    (fails (fun () -> Opspec.lookup ~kind:"frobnicate" ~width:8 ~params:[]));
   check_bool "const needs value" true
-    (fails (fun () -> Opspec.lookup ~kind:"const" ~width:8 ~params:[]));
+    (fails (fun () -> Opspec.lookup ~kind:Const ~width:8 []));
   check_bool "sram needs memory" true
-    (fails (fun () -> Opspec.lookup ~kind:"sram" ~width:8 ~params:[ ("addr-width", "4") ]));
+    (fails (fun () -> Opspec.lookup ~kind:Sram ~width:8 [ ("addr-width", "4"); ("size", "16") ]));
+  check_bool "sram needs size" true
+    (fails (fun () -> Opspec.lookup ~kind:Sram ~width:8 [ ("memory", "m"); ("addr-width", "4") ]));
+  check_bool "size within the address space" true
+    (fails (fun () ->
+         Opspec.lookup ~kind:Rom ~width:8
+           [ ("memory", "m"); ("addr-width", "4"); ("size", "17") ]));
+  check_bool "non-integer init" true
+    (fails (fun () -> Opspec.lookup ~kind:Reg ~width:8 [ ("init", "0x") ]));
+  check_bool "unknown check action" true
+    (fails (fun () -> Opspec.lookup ~kind:Check ~width:8 [ ("value", "1"); ("action", "halt") ]));
   check_bool "bad width" true
-    (fails (fun () -> Opspec.lookup ~kind:"add" ~width:0 ~params:[]));
+    (fails (fun () -> Opspec.lookup ~kind:(Bin Add) ~width:0 []));
   check_bool "mux needs >= 2" true
-    (fails (fun () -> Opspec.lookup ~kind:"mux" ~width:8 ~params:[ ("inputs", "1") ]))
+    (fails (fun () -> Opspec.lookup ~kind:Mux ~width:8 [ ("inputs", "1") ]))
 
 let test_all_kinds_resolvable () =
   List.iter
-    (fun kind ->
-      let params =
+    (fun (kind : Opkind.t) ->
+      let attrs =
         match kind with
-        | "const" | "check" -> [ ("value", "3") ]
-        | "zext" | "sext" -> [ ("from", "4") ]
-        | "sram" | "rom" -> [ ("memory", "m"); ("addr-width", "4") ]
+        | Const | Check -> [ ("value", "3") ]
+        | Zext | Sext -> [ ("from", "4") ]
+        | Sram | Rom -> [ ("memory", "m"); ("addr-width", "4"); ("size", "16") ]
         | _ -> []
       in
-      ignore (Opspec.lookup ~kind ~width:8 ~params))
-    Opspec.all_kinds;
-  check_bool "is_known" true (Opspec.is_known "add");
-  check_bool "not known" false (Opspec.is_known "nope")
+      ignore (Opspec.lookup ~kind ~width:8 attrs))
+    Opkind.all;
+  let p = (Opspec.lookup ~kind:Reg ~width:8 [ ("init", "0") ]).Opspec.params in
+  check_bool "explicit init kept" true (p.Opspec.init = Some 0);
+  let p = (Opspec.lookup ~kind:Reg ~width:8 []).Opspec.params in
+  check_bool "absent init is not 0" true (p.Opspec.init = None)
 
 (* --- models ---------------------------------------------------------- *)
 
@@ -113,7 +123,7 @@ let harness ?(width = 8) ?(params = []) kind =
   let engine = Engine.create () in
   let clock = Clock.create engine ~period:10 () in
   let mem = Memory.create ~name:"m" ~width 16 in
-  let spec = Opspec.lookup ~kind ~width ~params in
+  let spec = Opspec.lookup ~kind ~width params in
   let signals =
     List.map
       (fun (p : Opspec.port) ->
@@ -131,27 +141,27 @@ let harness ?(width = 8) ?(params = []) kind =
       notify = (fun n -> notes := n :: !notes);
     }
   in
-  Models.instantiate env ~kind ~width ~params;
+  Models.instantiate env ~width spec;
   (engine, signals, mem, notes)
 
 let port signals name = List.assoc name signals
 
 let test_model_add () =
-  let engine, s, _, _ = harness "add" in
+  let engine, s, _, _ = harness (Bin Add) in
   Engine.drive engine (port s "a") (bv ~width:8 30);
   Engine.drive engine (port s "b") (bv ~width:8 12);
   ignore (Engine.run ~max_time:100 engine);
   check_int "sum" 42 (Engine.value_int (port s "y"))
 
 let test_model_comparison () =
-  let engine, s, _, _ = harness "lts" in
+  let engine, s, _, _ = harness (Cmp Lts) in
   Engine.drive engine (port s "a") (bv ~width:8 0xFF) (* -1 *);
   Engine.drive engine (port s "b") (bv ~width:8 1);
   ignore (Engine.run ~max_time:100 engine);
   check_int "-1 < 1 signed" 1 (Engine.value_int (port s "y"))
 
 let test_model_mux () =
-  let engine, s, _, _ = harness "mux" ~params:[ ("inputs", "3") ] in
+  let engine, s, _, _ = harness Mux ~params:[ ("inputs", "3") ] in
   Engine.drive engine (port s "in0") (bv ~width:8 10);
   Engine.drive engine (port s "in1") (bv ~width:8 20);
   Engine.drive engine (port s "in2") (bv ~width:8 30);
@@ -163,7 +173,7 @@ let test_model_mux () =
   check_int "out-of-range sel clamps to last" 30 (Engine.value_int (port s "y"))
 
 let test_model_reg () =
-  let engine, s, _, _ = harness "reg" ~params:[ ("init", "5") ] in
+  let engine, s, _, _ = harness Reg ~params:[ ("init", "5") ] in
   check_int "init value" 5 (Engine.value_int (port s "q"));
   Engine.drive engine (port s "d") (bv ~width:8 77);
   ignore (Engine.run ~max_time:22 engine);
@@ -173,7 +183,7 @@ let test_model_reg () =
   check_int "enabled: captures" 77 (Engine.value_int (port s "q"))
 
 let test_model_counter () =
-  let engine, s, _, _ = harness "counter" ~params:[ ("step", "2") ] in
+  let engine, s, _, _ = harness Counter ~params:[ ("step", "2") ] in
   Engine.drive engine (port s "en") (bv ~width:1 1);
   ignore (Engine.run ~max_time:52 engine) (* edges at 5,15,25,35,45 *);
   check_int "counted 5 edges by 2" 10 (Engine.value_int (port s "q"));
@@ -183,7 +193,7 @@ let test_model_counter () =
   check_int "load wins over en" 100 (Engine.value_int (port s "q"))
 
 let test_model_sram () =
-  let engine, s, mem, _ = harness "sram" ~params:[ ("memory", "m"); ("addr-width", "4") ] in
+  let engine, s, mem, _ = harness Sram ~params:[ ("memory", "m"); ("addr-width", "4"); ("size", "16") ] in
   Memory.write mem 3 (bv ~width:8 99);
   Engine.drive engine (port s "addr") (bv ~width:4 3);
   ignore (Engine.run ~max_time:4 engine);
@@ -197,14 +207,14 @@ let test_model_sram () =
   check_int "dout refreshed after write" 55 (Engine.value_int (port s "dout"))
 
 let test_model_rom () =
-  let engine, s, mem, _ = harness "rom" ~params:[ ("memory", "m"); ("addr-width", "4") ] in
+  let engine, s, mem, _ = harness Rom ~params:[ ("memory", "m"); ("addr-width", "4"); ("size", "16") ] in
   Memory.write mem 2 (bv ~width:8 123);
   Engine.drive engine (port s "addr") (bv ~width:4 2);
   ignore (Engine.run ~max_time:10 engine);
   check_int "rom read" 123 (Engine.value_int (port s "dout"))
 
 let test_model_probe () =
-  let engine, s, _, notes = harness "probe" in
+  let engine, s, _, notes = harness Probe in
   Engine.drive engine (port s "a") ~delay:3 (bv ~width:8 1);
   Engine.drive engine (port s "a") ~delay:6 (bv ~width:8 2);
   ignore (Engine.run ~max_time:20 engine);
@@ -216,7 +226,7 @@ let test_model_probe () =
   check_int "two samples" 2 (List.length samples)
 
 let test_model_check () =
-  let engine, s, _, notes = harness "check" ~params:[ ("value", "7") ] in
+  let engine, s, _, notes = harness Check ~params:[ ("value", "7") ] in
   Engine.drive engine (port s "a") (bv ~width:8 7);
   Engine.drive engine (port s "en") (bv ~width:1 1);
   ignore (Engine.run ~max_time:10 engine);
@@ -227,7 +237,7 @@ let test_model_check () =
 
 let test_model_check_stop_action () =
   let engine, s, _, _ =
-    harness "check" ~params:[ ("value", "7"); ("action", "stop") ]
+    harness Check ~params:[ ("value", "7"); ("action", "stop") ]
   in
   Engine.drive engine (port s "a") (bv ~width:8 9);
   Engine.drive engine (port s "en") (bv ~width:1 1);
@@ -236,7 +246,7 @@ let test_model_check_stop_action () =
   | _ -> Alcotest.fail "expected a stop"
 
 let test_model_stop () =
-  let engine, s, _, _ = harness "stop" ~params:[ ("reason", "end of test") ] in
+  let engine, s, _, _ = harness Stop ~params:[ ("reason", "end of test") ] in
   Engine.drive engine (port s "en") ~delay:8 (bv ~width:1 1);
   match Engine.run ~max_time:50 engine with
   | Engine.Stop_requested r -> Alcotest.(check string) "reason" "end of test" r
@@ -252,16 +262,16 @@ let test_model_minmax_abs () =
     ignore (Engine.run ~max_time:50 engine);
     Engine.value_int (port s "y")
   in
-  check_int "minu" 3 (run "minu" 3 200);
-  check_int "maxu" 200 (run "maxu" 3 200);
+  check_int "minu" 3 (run (Bin Minu) 3 200);
+  check_int "maxu" 200 (run (Bin Maxu) 3 200);
   (* 0xFF = -1 signed: mins picks it, minu does not. *)
-  check_int "mins picks negative" 0xFF (run "mins" 0xFF 1);
-  check_int "maxs picks positive" 1 (run "maxs" 0xFF 1);
-  check_int "abs of -7" 7 (run "abs" 0xF9 0);
-  check_int "abs of 7" 7 (run "abs" 7 0)
+  check_int "mins picks negative" 0xFF (run (Bin Mins) 0xFF 1);
+  check_int "maxs picks positive" 1 (run (Bin Maxs) 0xFF 1);
+  check_int "abs of -7" 7 (run (Un Abs) 0xF9 0);
+  check_int "abs of 7" 7 (run (Un Abs) 7 0)
 
 let test_model_zext_sext () =
-  let engine, s, _, _ = harness "sext" ~width:8 ~params:[ ("from", "4") ] in
+  let engine, s, _, _ = harness Sext ~width:8 ~params:[ ("from", "4") ] in
   Engine.drive engine (port s "a") (bv ~width:4 0b1010);
   ignore (Engine.run ~max_time:10 engine);
   check_int "sign extended" 0xFA (Engine.value_int (port s "y"))
@@ -278,7 +288,7 @@ let prop_alu_models_match_bitvec =
     QCheck2.Gen.(
       triple (oneofl functional_kinds) (int_range 0 255) (int_range 0 255))
     (fun (k, a, b) ->
-      let engine, s, _, _ = harness (Opkind.to_string k) in
+      let engine, s, _, _ = harness k in
       Engine.drive engine (port s "a") (bv ~width:8 a);
       (match List.assoc_opt "b" s with
       | Some port_b -> Engine.drive engine port_b (bv ~width:8 b)
@@ -310,7 +320,7 @@ let test_opkind_names () =
       "maxu"; "mins"; "minu"; "mul"; "mux"; "ne"; "neg"; "not"; "or";
       "pass"; "probe"; "reg"; "rems"; "remu"; "rom"; "sext"; "shl"; "shra";
       "shrl"; "sram"; "stop"; "sub"; "xor"; "zext" ]
-    Opspec.all_kinds
+    (List.sort compare (List.map Opkind.to_string Opkind.all))
 
 (* The masked-int fast path at [width] agrees with the Bitvec reference
    on operands [a] and [b] (already masked). *)

@@ -283,7 +283,7 @@ let test_verify_failure_injection_netlist () =
       Netlist.Datapath.operators =
         List.map
           (fun (op : Netlist.Datapath.operator) ->
-            if op.Netlist.Datapath.kind = "const"
+            if op.Netlist.Datapath.kind = Const
                && List.assoc_opt "value" op.Netlist.Datapath.params = Some "2"
             then { op with Netlist.Datapath.params = [ ("value", "3") ] }
             else op)

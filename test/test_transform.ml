@@ -24,11 +24,11 @@ let no_memories _ = failwith "no memories in this design"
    "limit" rises when acc >= 10. *)
 let acc_datapath () =
   let b = Builder.create "acc_dp" in
-  let one = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "1") ] () in
-  let ten = Builder.add_operator b ~kind:"const" ~width:8 ~params:[ ("value", "10") ] () in
-  let acc = Builder.add_operator b ~id:"acc" ~kind:"reg" ~width:8 () in
-  let add = Builder.add_operator b ~id:"add0" ~kind:"add" ~width:8 () in
-  let cmp = Builder.add_operator b ~id:"cmp0" ~kind:"geu" ~width:8 () in
+  let one = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "1") ] () in
+  let ten = Builder.add_operator b ~kind:Const ~width:8 ~params:[ ("value", "10") ] () in
+  let acc = Builder.add_operator b ~id:"acc" ~kind:Reg ~width:8 () in
+  let add = Builder.add_operator b ~id:"add0" ~kind:(Bin Add) ~width:8 () in
+  let cmp = Builder.add_operator b ~id:"cmp0" ~kind:(Cmp Geu) ~width:8 () in
   Builder.add_control b "acc_en" 1;
   Builder.add_status b ~name:"limit" ~from:(cmp ^ ".y");
   Builder.connect b ~from:(one ^ ".y") [ add ^ ".b" ];

@@ -259,14 +259,16 @@ let swap_sinks (dp : Dp.t) sink_a sink_b =
 let find_binary_op (dp : Dp.t) kind =
   match List.find_opt (fun (o : Dp.operator) -> o.Dp.kind = kind) dp.Dp.operators with
   | Some o -> o.Dp.id
-  | None -> Alcotest.failf "no %s operator in the generated datapath" kind
+  | None ->
+      Alcotest.failf "no %s operator in the generated datapath"
+        (Operators.Opkind.to_string kind)
 
 let test_hw_swapped_operands_refuted () =
   let reference = bundle Compile.default_options
   and cd, cf =
     bundle { Compile.default_options with share_operators = true }
   in
-  let sub = find_binary_op cd "sub" in
+  let sub = find_binary_op cd (Bin Sub) in
   let mutated = swap_sinks cd (sub ^ ".a") (sub ^ ".b") in
   let w =
     witness
@@ -285,7 +287,7 @@ let test_hw_rewired_mux_refuted () =
   in
   let mux =
     match
-      List.find_opt (fun (o : Dp.operator) -> o.Dp.kind = "mux") cd.Dp.operators
+      List.find_opt (fun (o : Dp.operator) -> o.Dp.kind = Mux) cd.Dp.operators
     with
     | Some o -> o
     | None -> Alcotest.fail "shared gcd has no operand mux"
@@ -371,7 +373,7 @@ let test_hw_const_mutation_refuted () =
       Dp.operators =
         List.map
           (fun (o : Dp.operator) ->
-            if o.Dp.kind = "const" && Operators.Opspec.param_int o.Dp.params "value" ~default:0 = 12
+            if o.Dp.kind = Const && List.assoc_opt "value" o.Dp.params = Some "12"
             then
               {
                 o with
@@ -402,7 +404,7 @@ let test_hw_refutations_replay () =
   and sd, sf =
     bundle { Compile.default_options with share_operators = true }
   in
-  let sub = find_binary_op sd "sub" in
+  let sub = find_binary_op sd (Bin Sub) in
   let fixtures =
     [
       ( "swapped operands",
